@@ -1,9 +1,9 @@
 //! Whole-suite drill for the certificate-emitting optimizer: every
 //! in-budget benchmark circuit (see [`DEFAULT_CIRCUITS`]) is optimized,
-//! every proof log is replayed by the independent checker, and the
-//! optimized campaign is pinned verdict-for-verdict against the oracle —
-//! exiting non-zero on any unjustified rewrite or differential mismatch,
-//! emitting `BENCH_opt.json`.
+//! every proof log is replayed by the independent checker, and the fault
+//! plan is pinned verdict-for-verdict against the narrow oracle — exiting
+//! non-zero on any unjustified rewrite or differential mismatch, emitting
+//! `BENCH_opt.json`.
 //!
 //! For each circuit the binary reports the gate-count reduction, the
 //! certificate size, and the fault-plan split (provably untestable /
@@ -23,8 +23,8 @@
 
 use std::time::Instant;
 
-use scanft_opt::fault_map::FaultPlan;
-use scanft_opt::{campaign as opt_campaign, checker, optimize};
+use scanft_opt::fault_map::{FaultClass, FaultPlan};
+use scanft_opt::{checker, optimize};
 use scanft_sim::faults::{self, Fault};
 use scanft_sim::{campaign, ScanTest};
 use scanft_synth::{synthesize, SynthConfig};
@@ -230,8 +230,9 @@ fn drill_circuit(name: &str, args: &Args) -> Row {
         }
     }
 
-    // Differential pin: the optimized route must reproduce the oracle's
-    // detection report bit-for-bit on a seeded test sample.
+    // Differential pin on a seeded test sample: every fault the plan maps
+    // exactly keeps the oracle's verdict on the reduced netlist, and every
+    // fault it proves untestable goes undetected on the original.
     let mut tests: Vec<ScanTest> = table
         .transitions()
         .map(|t| ScanTest::new(circuit.encode_state(t.from), vec![t.input]))
@@ -247,15 +248,33 @@ fn drill_circuit(name: &str, args: &Args) -> Row {
     let order: Vec<usize> = (0..tests.len()).collect();
     let list: Vec<Fault> = faults::as_fault_list(&faults::enumerate_stuck(netlist));
 
-    let oracle = campaign::run_ordered_observing(netlist, &tests, &order, &list, true);
-    let routed = opt_campaign::run_optimized(netlist, &opt, &tests, &order, &list, true);
-    if routed.detecting_test != oracle.detecting_test || routed.detected() != oracle.detected() {
-        eprintln!("FAIL: {name}: optimized campaign verdicts differ from the oracle");
-        std::process::exit(1);
-    }
-
     let plan = FaultPlan::new(netlist, &opt, &list);
     let (untestable, fallback, exact) = plan.counts();
+    let oracle = campaign::run_ordered_observing(netlist, &tests, &order, &list, true);
+    let (exact_idx, exact_faults): (Vec<usize>, Vec<Fault>) = plan
+        .classes
+        .iter()
+        .enumerate()
+        .filter_map(|(f, class)| match class {
+            FaultClass::Exact(translated) => Some((f, *translated)),
+            _ => None,
+        })
+        .unzip();
+    let reduced =
+        campaign::run_ordered_observing(&opt.netlist, &tests, &order, &exact_faults, true);
+    let exact_agree = exact_idx
+        .iter()
+        .zip(&reduced.detecting_test)
+        .all(|(&f, verdict)| *verdict == oracle.detecting_test[f]);
+    let untestable_agree = plan
+        .classes
+        .iter()
+        .zip(&oracle.detecting_test)
+        .all(|(class, verdict)| *class != FaultClass::Untestable || verdict.is_none());
+    if !exact_agree || !untestable_agree {
+        eprintln!("FAIL: {name}: fault plan verdicts differ from the oracle");
+        std::process::exit(1);
+    }
 
     let timing = args.measure.then(|| {
         let reduced_list: Vec<Fault> =

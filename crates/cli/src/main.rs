@@ -5,10 +5,10 @@
 //! scanft show <circuit> [--kiss]
 //! scanft uio <circuit> [--max-len N]
 //! scanft generate <circuit> [--no-transfer] [--uio-cap N]
-//! scanft simulate <circuit> --tests FILE [--optimize] [--threads N] [--deadline SECS] [--journal FILE] [--resume] [--chaos-seed N] [--kernel narrow|wide]
+//! scanft simulate <circuit> --tests FILE [--threads N] [--deadline SECS] [--journal FILE] [--resume] [--chaos-seed N]
 //! scanft evaluate <circuit> [--functional-only] [--top-up] [--gray]
 //! scanft optimize <circuit> [--cert FILE]
-//! scanft atpg <circuit> [--budget N] [--deadline SECS] [--optimize] [--no-functional] [--uncollapsed] [--no-implications] [--gray] [--level]
+//! scanft atpg <circuit> [--budget N] [--deadline SECS] [--no-functional] [--uncollapsed] [--no-implications] [--gray] [--level]
 //! scanft synth <circuit> [--gray] [--flat] [--dot|--blif]
 //! scanft lint <circuit>... | --all [--json] [--full] [--deny|--warn|--allow CODE]
 //! ```
@@ -95,17 +95,16 @@ const USAGE: &str = "usage:
   scanft show <circuit> [--kiss]
   scanft uio <circuit> [--max-len N]
   scanft generate <circuit> [--no-transfer] [--uio-cap N] [--out FILE]
-  scanft simulate <circuit> --tests FILE [--optimize] [--threads N]
-                  [--deadline SECS] [--journal FILE] [--resume]
-                  [--chaos-seed N] [--kernel narrow|wide]
+  scanft simulate <circuit> --tests FILE [--threads N] [--deadline SECS]
+                  [--journal FILE] [--resume] [--chaos-seed N]
   scanft evaluate <circuit> [--functional-only] [--top-up] [--gray]
   scanft optimize <circuit> [--cert FILE]
-  scanft atpg <circuit> [--budget N] [--deadline SECS] [--optimize] [--no-functional] [--uncollapsed] [--no-implications] [--gray] [--level]
+  scanft atpg <circuit> [--budget N] [--deadline SECS] [--no-functional] [--uncollapsed] [--no-implications] [--gray] [--level]
   scanft synth <circuit> [--gray] [--flat] [--dot|--blif]
   scanft lint <circuit>... | --all [--json] [--full] [--deny|--warn|--allow CODE]
   scanft dot <circuit>
-  scanft serve [--addr HOST:PORT] [--workers N] [--threads N] [--optimize]
-               [--kernel narrow|wide] [--journal-dir DIR] [--cache N]
+  scanft serve [--addr HOST:PORT] [--workers N] [--threads N]
+               [--journal-dir DIR] [--cache N]
                [--max-active N] [--max-units N] [--body-limit BYTES]
                [--timeout SECS] [--deadline SECS] [--chaos-seed N]
                [--state-dir DIR] [--queue-depth N] [--retry-after SECS]
@@ -328,29 +327,13 @@ fn cmd_simulate(rest: &[String]) -> Result<(), ScanftError> {
         "--deadline",
         "--journal",
         "--chaos-seed",
-        "--kernel",
+        "--resume",
     ]
     .iter()
-    .any(|f| flag(rest, f))
-        || flag(rest, "--resume");
+    .any(|f| flag(rest, f));
     if supervised {
         return simulate_supervised(rest, &table, &circuit, &scan_tests);
     }
-    let optimized = if flag(rest, "--optimize") {
-        let opt = scanft_opt::optimize(circuit.netlist());
-        scanft_opt::checker::check(circuit.netlist(), &opt.netlist, &opt.certificate).map_err(
-            |e| ScanftError::Synth {
-                message: format!("optimizer self-check failed — {e}"),
-            },
-        )?;
-        println!(
-            "optimized: {} -> {} gates (certificate: {} steps, validated)",
-            opt.stats.original_gates, opt.stats.reduced_gates, opt.stats.certificate_steps
-        );
-        Some(opt)
-    } else {
-        None
-    };
     let bridges = scanft_sim::faults::enumerate_bridging(circuit.netlist(), 3000);
     if bridges.truncated() {
         println!(
@@ -378,21 +361,8 @@ fn cmd_simulate(rest: &[String]) -> Result<(), ScanftError> {
             )),
         ),
     ] {
-        // Optimized runs report identical verdicts in the original fault
-        // universe (bridging and delay faults fall back automatically).
-        let report = match &optimized {
-            Some(opt) => scanft_opt::campaign::run_optimized(
-                circuit.netlist(),
-                opt,
-                &scan_tests,
-                &scanft_sim::campaign::decreasing_length_order(&scan_tests),
-                &faults,
-                true,
-            ),
-            None => {
-                scanft_sim::campaign::run_decreasing_length(circuit.netlist(), &scan_tests, &faults)
-            }
-        };
+        let report =
+            scanft_sim::campaign::run_decreasing_length(circuit.netlist(), &scan_tests, &faults);
         println!(
             "  {label}: {}/{} detected ({:.2}%), {} effective tests",
             report.detected(),
@@ -414,17 +384,12 @@ fn simulate_supervised(
     circuit: &scanft_synth::SynthesizedCircuit,
     scan_tests: &[scanft_sim::ScanTest],
 ) -> Result<(), ScanftError> {
-    use scanft_sim::campaign::{self, Kernel, SupervisedConfig};
+    use scanft_sim::campaign::{self, SupervisedConfig};
 
     let num_threads = value_of(rest, "--threads")?.unwrap_or(1);
     if num_threads == 0 {
         return Err(ScanftError::usage("--threads must be positive"));
     }
-    let kernel = match string_of(rest, "--kernel")? {
-        None => Kernel::Narrow,
-        Some(value) => Kernel::from_flag(&value)
-            .ok_or_else(|| ScanftError::usage("--kernel must be `narrow` or `wide`"))?,
-    };
     let mut budget = Budget::unlimited();
     if let Some(secs) = value_of(rest, "--deadline")? {
         budget = budget.with_deadline(std::time::Duration::from_secs(secs as u64));
@@ -447,8 +412,7 @@ fn simulate_supervised(
         observe_scan_out: true,
         budget,
         label: table.name().to_owned(),
-        kernel,
-        arena: None,
+        ..SupervisedConfig::default()
     };
 
     let prior = match (&journal_path, resume) {
@@ -470,42 +434,16 @@ fn simulate_supervised(
         None => None,
     };
 
-    // `--optimize` preserves the journal and report contract bit-for-bit
-    // (same units, same records, cross-resumable with unoptimized runs).
-    let partial = if flag(rest, "--optimize") {
-        let opt = scanft_opt::optimize(circuit.netlist());
-        scanft_opt::checker::check(circuit.netlist(), &opt.netlist, &opt.certificate).map_err(
-            |e| ScanftError::Synth {
-                message: format!("optimizer self-check failed — {e}"),
-            },
-        )?;
-        println!(
-            "optimized: {} -> {} gates (certificate: {} steps, validated)",
-            opt.stats.original_gates, opt.stats.reduced_gates, opt.stats.certificate_steps
-        );
-        scanft_opt::campaign::run_supervised_optimized(
-            circuit.netlist(),
-            &opt,
-            scan_tests,
-            &order,
-            &fault_list,
-            &config,
-            writer.as_ref(),
-            prior.as_ref(),
-            chaos.as_ref(),
-        )?
-    } else {
-        campaign::run_supervised(
-            circuit.netlist(),
-            scan_tests,
-            &order,
-            &fault_list,
-            &config,
-            writer.as_ref(),
-            prior.as_ref(),
-            chaos.as_ref(),
-        )?
-    };
+    let partial = campaign::run_supervised(
+        circuit.netlist(),
+        scan_tests,
+        &order,
+        &fault_list,
+        &config,
+        writer.as_ref(),
+        prior.as_ref(),
+        chaos.as_ref(),
+    )?;
 
     println!(
         "supervised stuck-at campaign for {} ({} faults in {} batches, {} thread{}):",
@@ -713,7 +651,6 @@ fn cmd_atpg(rest: &[String]) -> Result<(), ScanftError> {
         } else {
             scanft_core::top_up::Heuristic::Scoap
         },
-        optimize: flag(rest, "--optimize"),
         ..scanft_core::top_up::TopUpConfig::default()
     };
     let outcome = scanft_core::top_up::top_up_scan(circuit.netlist(), &functional, &config);
@@ -999,10 +936,6 @@ fn cmd_serve(rest: &[String]) -> Result<(), ScanftError> {
         }
         config.campaign_threads = threads;
     }
-    if let Some(kernel) = string_of(rest, "--kernel")? {
-        config.kernel = scanft_sim::campaign::Kernel::from_flag(&kernel)
-            .ok_or_else(|| ScanftError::usage("--kernel must be `narrow` or `wide`"))?;
-    }
     if let Some(dir) = string_of(rest, "--journal-dir")? {
         config.journal_dir = dir;
     }
@@ -1027,7 +960,6 @@ fn cmd_serve(rest: &[String]) -> Result<(), ScanftError> {
         scanft_harness::silence_chaos_panics();
         config.chaos_seed = Some(seed as u64);
     }
-    config.optimize = flag(rest, "--optimize");
     if let Some(dir) = string_of(rest, "--state-dir")? {
         config.state_dir = Some(dir);
     }

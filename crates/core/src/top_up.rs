@@ -61,12 +61,6 @@ pub struct TopUpConfig {
     pub use_implications: bool,
     /// Cost model guiding PODEM's backtrace and D-frontier choices.
     pub heuristic: Heuristic,
-    /// Whether to run the functional simulation phase on the
-    /// certificate-checked reduced netlist from [`scanft_opt::optimize`],
-    /// mapping verdicts back to the original fault universe. Off by
-    /// default; when on, the per-fault verdicts are identical by
-    /// construction (the differential tests pin this), only faster.
-    pub optimize: bool,
 }
 
 impl Default for TopUpConfig {
@@ -78,7 +72,6 @@ impl Default for TopUpConfig {
             static_prune: true,
             use_implications: true,
             heuristic: Heuristic::default(),
-            optimize: false,
         }
     }
 }
@@ -273,29 +266,18 @@ pub fn top_up_scan_with(
     };
     obs.counter("core.top_up.faults").add(targets.len() as u64);
 
-    // One static analysis serves the optimizer, the prune, and the guided
-    // search; it is skipped entirely only when no consumer wants it.
-    let analysis = if config.optimize || config.static_prune || config.use_implications {
+    // One static analysis serves the prune and the guided search; it is
+    // skipped entirely only when neither wants it.
+    let analysis = if config.static_prune || config.use_implications {
         Some(prebuilt.unwrap_or_else(|| Analysis::new(netlist)))
     } else {
         None
     };
 
     // Phase 1: functional fault simulation with dropping, in the paper's
-    // decreasing-length effective-test order — on the certificate-backed
-    // reduced netlist when `config.optimize` is set (per-fault verdicts
-    // are identical by construction; see `scanft_opt::campaign`).
+    // decreasing-length effective-test order.
     let fault_list = faults::as_fault_list(&targets);
-    let functional_report = if config.optimize {
-        let opt = scanft_opt::optimize_with(
-            netlist,
-            analysis.as_ref().expect("analysis built when optimizing"),
-        );
-        let order = campaign::decreasing_length_order(functional);
-        scanft_opt::campaign::run_optimized(netlist, &opt, functional, &order, &fault_list, true)
-    } else {
-        campaign::run_decreasing_length(netlist, functional, &fault_list)
-    };
+    let functional_report = campaign::run_decreasing_length(netlist, functional, &fault_list);
 
     let mut status: Vec<Option<FaultStatus>> = functional_report
         .detecting_test
@@ -382,7 +364,15 @@ pub fn top_up_scan_with(
                     .collect();
                 let pending_faults: Vec<scanft_sim::faults::Fault> =
                     pending.iter().map(|&k| fault_list[k]).collect();
-                let report = campaign::run(netlist, std::slice::from_ref(&test), &pending_faults);
+                // One length-1 pattern does not pay back the wide kernel's
+                // per-batch cone build, so this stays on the narrow kernel.
+                let report = campaign::run_ordered_observing(
+                    netlist,
+                    std::slice::from_ref(&test),
+                    &[0],
+                    &pending_faults,
+                    true,
+                );
                 for (slot, &k) in pending.iter().enumerate() {
                     if report.detecting_test[slot].is_some() {
                         status[k] = Some(FaultStatus::DetectedAtpg);
@@ -517,36 +507,6 @@ mod tests {
         assert_eq!(
             final_report.detected(),
             report.faults.len() - report.proven_redundant()
-        );
-    }
-
-    /// `optimize: true` routes the functional campaign through the
-    /// certificate-checked reduced netlist; every verdict, every emitted
-    /// pattern, and the final report must be bit-identical to the default
-    /// path (the reduction only changes *where* faults are simulated).
-    #[test]
-    fn optimized_functional_phase_is_bit_identical_on_lion() {
-        let lion = scanft_fsm::benchmarks::lion();
-        let uios = uio::derive_uios(&lion, lion.num_state_vars());
-        let set = generate(&lion, &uios, &GenConfig::default());
-        let circuit = synthesize(&lion, &SynthConfig::default());
-        let plain = top_up(&circuit, &set, &TopUpConfig::default());
-        let optimized = top_up(
-            &circuit,
-            &set,
-            &TopUpConfig {
-                optimize: true,
-                ..TopUpConfig::default()
-            },
-        );
-        assert_eq!(optimized.tests, plain.tests);
-        assert_eq!(optimized.num_functional, plain.num_functional);
-        assert_eq!(optimized.report.faults, plain.report.faults);
-        assert_eq!(optimized.report.status, plain.report.status);
-        assert_eq!(optimized.report.atpg_patterns, plain.report.atpg_patterns);
-        assert_eq!(
-            optimized.report.pattern_targets,
-            plain.report.pattern_targets
         );
     }
 

@@ -26,6 +26,8 @@ use std::io::Write;
 
 use scanft_race::sync::{Arc, AtomicU64, Mutex, Ordering};
 
+use scanft_obs::{field_str, field_u64};
+
 use crate::chaos::{CrashPoint, FailurePlan};
 use crate::error::ScanftError;
 
@@ -203,37 +205,6 @@ fn parse_record(line: &str) -> Option<JournalRecord> {
         }
     }
     Some(JournalRecord { unit, lanes })
-}
-
-/// Extracts an unsigned integer field `"key":123` from a single-line JSON
-/// object.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pattern = format!("\"{key}\":");
-    let start = line.find(&pattern)? + pattern.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    if end == 0 {
-        return None;
-    }
-    rest[..end].parse().ok()
-}
-
-/// Extracts a string field `"key":"value"` (unescaping `\"` and `\\`).
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let pattern = format!("\"{key}\":\"");
-    let start = line.find(&pattern)? + pattern.len();
-    let rest = &line[start..];
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => out.push(chars.next()?),
-            c => out.push(c),
-        }
-    }
 }
 
 enum Sink {
@@ -806,6 +777,38 @@ mod tests {
         writer.write_header(&tricky).unwrap();
         let journal = read_journal(&buffer_contents(&buffer));
         assert_eq!(journal.header, Some(tricky));
+    }
+
+    #[test]
+    fn repair_keeps_an_intact_journal_with_control_characters_in_its_label() {
+        // A served job's label comes from a client header, which may hold a
+        // tab. Reading it back must decode every escape, or repair rebuilds
+        // the header from a mangled label and rewrites an intact file.
+        let path = temp_path("repair-label");
+        std::fs::remove_file(&path).ok();
+        let labelled = JournalHeader {
+            label: "a\tb\u{000b}c".into(),
+            ..header()
+        };
+        let record = JournalRecord {
+            unit: 0,
+            lanes: vec![Some(1), None],
+        };
+        {
+            let writer = JournalWriter::create(&path).unwrap();
+            writer.write_header(&labelled).unwrap();
+            writer.append(&record).unwrap();
+        }
+        let before = std::fs::read(&path).unwrap();
+        let repaired = repair_journal(&path).unwrap();
+        assert_eq!(repaired.header, Some(labelled));
+        assert_eq!(repaired.records, vec![record]);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            before,
+            "intact file rewritten"
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

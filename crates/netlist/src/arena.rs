@@ -122,6 +122,7 @@ impl GateArena {
     /// # Panics
     ///
     /// Panics if `g` is out of range.
+    #[inline]
     #[must_use]
     pub fn fanins(&self, g: usize) -> &[NetId] {
         &self.fanins[self.fanin_start[g] as usize..self.fanin_start[g + 1] as usize]
@@ -132,6 +133,7 @@ impl GateArena {
     /// # Panics
     ///
     /// Panics if `net` is out of range.
+    #[inline]
     #[must_use]
     pub fn fanouts(&self, net: NetId) -> &[u32] {
         &self.fanouts

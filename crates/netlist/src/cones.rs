@@ -49,12 +49,14 @@ impl FaultCone {
         seed_nets: &[NetId],
         seed_gates: &[u32],
     ) -> Self {
+        // A gate is in the cone exactly when its output net is: seeding a
+        // net (or a gate's output) and walking fanout both mark the net
+        // together with its driver, and PPIs drive no gate.
         let num_nets = arena.num_nets();
-        let mut in_cone_gate = vec![false; arena.num_gates()];
         let mut nets = vec![false; num_nets];
-        let mut stack: Vec<NetId> = Vec::new();
+        let mut stack: Vec<NetId> = Vec::with_capacity(num_nets);
 
-        let seed_net = |net: NetId, nets: &mut Vec<bool>, stack: &mut Vec<NetId>| {
+        let mut seed_net = |net: NetId, nets: &mut Vec<bool>| {
             assert!((net as usize) < num_nets, "seed net {net} out of range");
             if !nets[net as usize] {
                 nets[net as usize] = true;
@@ -62,18 +64,14 @@ impl FaultCone {
             }
         };
         for &net in seed_nets {
-            seed_net(net, &mut nets, &mut stack);
-            if let Some(g) = netlist.driver_index(net) {
-                in_cone_gate[g] = true;
-            }
+            seed_net(net, &mut nets);
         }
         for &g in seed_gates {
             assert!(
                 (g as usize) < arena.num_gates(),
                 "seed gate {g} out of range"
             );
-            in_cone_gate[g as usize] = true;
-            seed_net(arena.gate_output(g as usize), &mut nets, &mut stack);
+            seed_net(arena.gate_output(g as usize), &mut nets);
         }
 
         // Transitive fanout, re-seeding through the scan boundary until the
@@ -82,7 +80,6 @@ impl FaultCone {
             while let Some(net) = stack.pop() {
                 for &g in arena.fanouts(net) {
                     let out = arena.gate_output(g as usize);
-                    in_cone_gate[g as usize] = true;
                     if !nets[out as usize] {
                         nets[out as usize] = true;
                         stack.push(out);
@@ -104,9 +101,10 @@ impl FaultCone {
             }
         }
 
-        let gates: Vec<u32> = (0..arena.num_gates() as u32)
-            .filter(|&g| in_cone_gate[g as usize])
-            .collect();
+        let mut gates: Vec<u32> = Vec::with_capacity(arena.num_gates());
+        gates.extend(
+            (0..arena.num_gates() as u32).filter(|&g| nets[arena.gate_output(g as usize) as usize]),
+        );
         FaultCone { gates, nets }
     }
 

@@ -129,6 +129,7 @@ impl Netlist {
     /// # Panics
     ///
     /// Panics if `k >= num_pis()`.
+    #[inline]
     #[must_use]
     pub fn pi(&self, k: usize) -> NetId {
         assert!(k < self.num_pis, "PI {k} out of range");
@@ -140,6 +141,7 @@ impl Netlist {
     /// # Panics
     ///
     /// Panics if `k >= num_ppis()`.
+    #[inline]
     #[must_use]
     pub fn ppi(&self, k: usize) -> NetId {
         assert!(k < self.num_ppis, "PPI {k} out of range");

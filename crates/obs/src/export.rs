@@ -8,6 +8,7 @@
 //! {"kind":"timer","name":"core.generate_secs","count":1,"total_secs":1.23e-5,"min_secs":1.23e-5,"max_secs":1.23e-5,"buckets":[0,0,0,1,0,0,0,0,0]}
 //! ```
 
+use crate::json::escape_json_string;
 use crate::metric::TIMER_BUCKETS;
 
 /// A point-in-time copy of one metric's value.
@@ -86,24 +87,6 @@ fn json_f64(v: f64) -> String {
     } else {
         "0".to_owned()
     }
-}
-
-/// Escapes a string for inclusion inside a JSON string literal.
-#[must_use]
-pub fn escape_json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -59,9 +59,11 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 mod export;
+mod json;
 mod metric;
 mod registry;
 
-pub use export::{escape_json_string, MetricSnapshot, SnapshotValue};
+pub use export::{MetricSnapshot, SnapshotValue};
+pub use json::{escape_json_string, field_f64, field_str, field_u64};
 pub use metric::{Counter, Gauge, Span, Timer, TimerStats, TIMER_BUCKETS};
 pub use registry::{global, Registry};

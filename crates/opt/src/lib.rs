@@ -15,14 +15,16 @@
 //! Because scan-in makes every pseudo-primary input a free variable, only
 //! combinationally forced facts are used — the reduced netlist is
 //! test-for-test equivalent to the original at all observed outputs, and
-//! [`fault_map`] translates detection verdicts on the reduced netlist back
-//! to the original collapsed-fault universe ([`campaign`]).
+//! [`fault_map`] classifies each original fault as provably untestable,
+//! exactly mapped onto the reduced netlist, or neither.
+//!
+//! The optimizer serves `scanft optimize` and its independent checker; the
+//! simulation campaigns always run on the original netlist.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-pub mod campaign;
 pub mod certificate;
 pub mod checker;
 pub mod dataflow;

@@ -1,14 +1,17 @@
-//! Differential pinning against the unoptimized oracle.
+//! Differential pinning of the fault mapping against the unoptimized oracle.
 //!
 //! For each pinned MCNC circuit: optimize, validate the certificate with
-//! the independent checker, then simulate the exhaustive transition tests
-//! both ways and require **bit-identical** detection sets (per-fault
-//! detecting-test indices), new-detection profiles, and coverage under
-//! both observation modes. `keyb` (4096 transitions) is pinned by the
-//! release-mode `opt_suite` bench binary that CI's `opt-smoke` job runs.
+//! the independent checker, classify the stuck-at universe with
+//! [`FaultPlan`], then simulate the exhaustive transition tests on the
+//! narrow oracle under both observation modes. Every `Exact` fault's
+//! verdict (its detecting-test index) on the reduced netlist must equal the
+//! original fault's verdict on the original netlist, and every `Untestable`
+//! fault must be undetected on the original. `keyb` (4096 transitions) is
+//! pinned by the release-mode `opt_suite` bench binary that CI's
+//! `opt-smoke` job runs.
 
 use scanft_fsm::benchmarks;
-use scanft_opt::campaign::run_optimized;
+use scanft_opt::fault_map::{FaultClass, FaultPlan};
 use scanft_opt::{checker, optimize};
 use scanft_sim::campaign::run_ordered_observing;
 use scanft_sim::faults::{self, Fault};
@@ -33,23 +36,36 @@ fn pin_circuit(name: &str) {
     let report = checker::check(n, &opt.netlist, &opt.certificate)
         .unwrap_or_else(|e| panic!("{name}: rejected certificate: {e}"));
     assert_eq!(report.steps, opt.stats.certificate_steps, "{name}");
+    let plan = FaultPlan::new(n, &opt, &list);
+    let (exact_idx, exact): (Vec<usize>, Vec<Fault>) = plan
+        .classes
+        .iter()
+        .enumerate()
+        .filter_map(|(f, class)| match class {
+            FaultClass::Exact(translated) => Some((f, *translated)),
+            _ => None,
+        })
+        .unzip();
     let order: Vec<usize> = (0..tests.len()).collect();
     for observe_scan_out in [true, false] {
         let base = run_ordered_observing(n, &tests, &order, &list, observe_scan_out);
-        let fast = run_optimized(n, &opt, &tests, &order, &list, observe_scan_out);
-        assert_eq!(
-            base.detecting_test, fast.detecting_test,
-            "{name}: detection sets diverge (observe_scan_out={observe_scan_out})"
-        );
-        assert_eq!(
-            base.new_detections, fast.new_detections,
-            "{name}: new-detection profiles diverge (observe_scan_out={observe_scan_out})"
-        );
-        assert_eq!(
-            base.detected(),
-            fast.detected(),
-            "{name}: coverage diverges"
-        );
+        let reduced = run_ordered_observing(&opt.netlist, &tests, &order, &exact, observe_scan_out);
+        for (&f, verdict) in exact_idx.iter().zip(&reduced.detecting_test) {
+            assert_eq!(
+                *verdict, base.detecting_test[f],
+                "{name}: exact fault {f} changes verdict on the reduced netlist \
+                 (observe_scan_out={observe_scan_out})"
+            );
+        }
+        for (f, class) in plan.classes.iter().enumerate() {
+            if *class == FaultClass::Untestable {
+                assert_eq!(
+                    base.detecting_test[f], None,
+                    "{name}: fault {f} classed untestable is detected \
+                     (observe_scan_out={observe_scan_out})"
+                );
+            }
+        }
     }
 }
 
@@ -73,10 +89,9 @@ fn lion_detection_sets_are_bit_identical() {
     pin_circuit("lion");
 }
 
-/// The property of satellite scope: on every suite circuit with at most 12
-/// scan-chain inputs (PIs + state variables), optimize-then-simulate equals
-/// simulate-on-original — detection sets and coverage — and the
-/// certificate validates.
+/// On every suite circuit with at most 12 scan-chain inputs (PIs + state
+/// variables), the fault plan's exact and untestable classes agree with
+/// simulation on the original netlist, and the certificate validates.
 #[test]
 fn optimize_then_simulate_equals_simulate() {
     for spec in benchmarks::CIRCUITS {

@@ -12,10 +12,7 @@
 //! first use of a key (every simulate job needs both), while the
 //! [`Analysis`] bundle is built behind a `OnceLock` only when the first
 //! ATPG job on that circuit asks for it — a simulate-only tenant never pays
-//! the implication-closure cost. The certificate-backed reduced netlist
-//! ([`scanft_opt::Optimized`]) sits behind a second `OnceLock`, built from
-//! the cached analysis only when the server runs with `--optimize`, and is
-//! then shared by every campaign on the same content key.
+//! the implication-closure cost.
 
 use scanft_race::sync::{Arc, Mutex, OnceLock};
 use std::collections::HashMap;
@@ -37,7 +34,6 @@ pub struct Artifacts {
     /// Wide-kernel gate arena over `circuit.netlist()`.
     pub arena: Arc<GateArena>,
     analysis: OnceLock<Arc<Analysis>>,
-    optimized: OnceLock<Arc<scanft_opt::Optimized>>,
 }
 
 impl Artifacts {
@@ -51,7 +47,6 @@ impl Artifacts {
             circuit,
             arena,
             analysis: OnceLock::new(),
-            optimized: OnceLock::new(),
         }
     }
 
@@ -69,27 +64,6 @@ impl Artifacts {
     #[must_use]
     pub fn has_analysis(&self) -> bool {
         self.analysis.get().is_some()
-    }
-
-    /// The certificate-backed reduced netlist, built on first request from
-    /// the (also cached) analysis and shared afterwards — so every
-    /// `--optimize` campaign on the same [`ContentKey`] reuses one
-    /// optimization. Like the analysis, this is a pure function of the
-    /// circuit, so sharing cannot change any verdict.
-    #[must_use]
-    pub fn optimized(&self) -> Arc<scanft_opt::Optimized> {
-        Arc::clone(self.optimized.get_or_init(|| {
-            Arc::new(scanft_opt::optimize_with(
-                self.circuit.netlist(),
-                &self.analysis(),
-            ))
-        }))
-    }
-
-    /// Whether the optimized bundle has been built yet.
-    #[must_use]
-    pub fn has_optimized(&self) -> bool {
-        self.optimized.get().is_some()
     }
 }
 
@@ -204,23 +178,6 @@ mod tests {
         let b = bundle.analysis();
         assert!(Arc::ptr_eq(&a, &b));
         assert!(bundle.has_analysis());
-    }
-
-    #[test]
-    fn optimized_is_lazy_and_then_shared() {
-        let cache = ArtifactCache::new(4);
-        let lion = table("lion");
-        let (bundle, _) = cache.get_or_build(ContentKey::of_table(&lion), &lion);
-        assert!(!bundle.has_optimized(), "plain jobs never pay for this");
-        let a = bundle.optimized();
-        let b = bundle.optimized();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(bundle.has_optimized());
-        assert!(
-            bundle.has_analysis(),
-            "optimizing reuses the cached closure"
-        );
-        assert_eq!(a.stats.original_gates, bundle.circuit.netlist().num_gates());
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!   cancellation flips the job's [`CancelToken`] so a running campaign
 //!   stops through the ordinary budget claim path.
 //! - [`server`]: the daemon — accept loop, sharded campaign worker pool
-//!   (`--kernel wide` by default), and the route table:
+//!   (on the wide kernel), and the route table:
 //!
 //!   | endpoint | behaviour |
 //!   |---|---|
@@ -68,7 +68,6 @@ pub mod client;
 pub mod hash;
 pub mod http;
 pub mod job;
-mod json;
 pub mod retry;
 pub mod server;
 pub mod wal;

@@ -36,7 +36,7 @@ use scanft_fsm::uio::{derive_uios_with, UioConfig};
 use scanft_harness::{
     repair_journal, Budget, FailurePlan, JournalTailer, JournalWriter, ScanftError, StopReason,
 };
-use scanft_sim::campaign::{self, Kernel, SupervisedConfig};
+use scanft_sim::campaign::{self, SupervisedConfig};
 use scanft_sim::ScanTest;
 
 use crate::cache::{ArtifactCache, Artifacts};
@@ -64,9 +64,6 @@ pub struct ServerConfig {
     pub read_timeout: Duration,
     /// Per-tenant admission limits.
     pub quota: TenantQuota,
-    /// Simulation kernel for campaigns (wide by default — the server
-    /// exists to amortize the arena the wide kernel wants).
-    pub kernel: Kernel,
     /// Directory campaign journals are written into.
     pub journal_dir: String,
     /// Artifact-cache capacity in circuits.
@@ -75,11 +72,6 @@ pub struct ServerConfig {
     /// panics) seeded here — used by drills to hold a cancellation window
     /// open; never set in production serving.
     pub chaos_seed: Option<u64>,
-    /// Run simulate campaigns on the certificate-backed reduced netlist
-    /// from `scanft-opt`, mapping verdicts back to the original fault
-    /// universe. Reports and journals are identical to unoptimized runs by
-    /// construction; the optimized bundle is cached per content key.
-    pub optimize: bool,
     /// Durable state directory. When set, the server keeps a job WAL at
     /// `<state_dir>/jobs.wal` — every admission/claim/cancel/terminal
     /// transition is flushed before it is acknowledged — and replays it on
@@ -107,14 +99,12 @@ impl Default for ServerConfig {
             max_body_bytes: 4 * 1024 * 1024,
             read_timeout: Duration::from_secs(10),
             quota: TenantQuota::default(),
-            kernel: Kernel::Wide,
             journal_dir: std::env::temp_dir()
                 .join("scanft-serve")
                 .to_string_lossy()
                 .into_owned(),
             cache_capacity: 8,
             chaos_seed: None,
-            optimize: false,
             state_dir: None,
             max_queue_depth: 256,
             retry_after_secs: 2,
@@ -782,8 +772,8 @@ fn execute(shared: &Shared, job: &Arc<Job>) -> Result<JobStatus, ScanftError> {
                 observe_scan_out: true,
                 budget,
                 label: job.circuit.clone(),
-                kernel: shared.config.kernel,
                 arena: Some(Arc::clone(&artifacts.arena)),
+                ..SupervisedConfig::default()
             };
             // Delay-only chaos (panic and truncation rates zero): drills
             // use it to hold a cancellation window open without exercising
@@ -814,33 +804,16 @@ fn execute(shared: &Shared, job: &Arc<Job>) -> Result<JobStatus, ScanftError> {
             } else {
                 (JournalWriter::create(&job.journal_path)?, None)
             };
-            // Optimized runs preserve the journal and report contract
-            // bit-for-bit (see `scanft_opt::campaign`), so this branch is
-            // invisible to clients and to resume.
-            let partial = if shared.config.optimize {
-                scanft_opt::campaign::run_supervised_optimized(
-                    artifacts.circuit.netlist(),
-                    &artifacts.optimized(),
-                    &scan_tests,
-                    &order,
-                    &fault_list,
-                    &config,
-                    Some(&writer),
-                    resume.as_ref(),
-                    chaos.as_ref(),
-                )?
-            } else {
-                campaign::run_supervised(
-                    artifacts.circuit.netlist(),
-                    &scan_tests,
-                    &order,
-                    &fault_list,
-                    &config,
-                    Some(&writer),
-                    resume.as_ref(),
-                    chaos.as_ref(),
-                )?
-            };
+            let partial = campaign::run_supervised(
+                artifacts.circuit.netlist(),
+                &scan_tests,
+                &order,
+                &fault_list,
+                &config,
+                Some(&writer),
+                resume.as_ref(),
+                chaos.as_ref(),
+            )?;
             if !partial.resumed_units.is_empty() {
                 scanft_obs::global()
                     .counter("server.recovery.units_resumed")

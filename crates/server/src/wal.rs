@@ -23,8 +23,8 @@
 //! the log bytes; nothing here may read a wall clock.
 
 use crate::job::{JobKind, JobStatus};
-use crate::json::{field_f64, field_str, field_u64};
 use scanft_harness::{FailurePlan, JsonlWriter, ScanftError};
+use scanft_obs::{field_f64, field_str, field_u64};
 
 /// Magic value identifying a server WAL header line.
 const MAGIC: &str = "scanft-server";
@@ -334,10 +334,7 @@ impl WalWriter {
         let existing = match std::fs::read(path) {
             Ok(bytes) => {
                 if bytes.last().is_some_and(|&b| b != b'\n') {
-                    let start = bytes
-                        .iter()
-                        .rposition(|&b| b == b'\n')
-                        .map_or(0, |p| p + 1);
+                    let start = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
                     // The unterminated tail must be judged exactly the way
                     // `read_wal` judges it, so repair and replay agree on
                     // which events exist.

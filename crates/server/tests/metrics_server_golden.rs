@@ -16,24 +16,8 @@
 
 use std::time::Duration;
 
+use scanft_obs::{field_str, field_u64};
 use scanft_server::{Client, JobKind, Server, ServerConfig};
-
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let marker = format!("\"{key}\":");
-    let start = line.find(&marker)? + marker.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\":\"");
-    let start = line.find(&marker)? + marker.len();
-    let rest = &line[start..];
-    Some(rest[..rest.find('"')?].to_owned())
-}
 
 #[test]
 fn server_metrics_schema_and_values_are_pinned() {

@@ -12,29 +12,10 @@
 
 use std::collections::HashSet;
 
+use scanft_fsm::rng::SplitMix64;
 use scanft_race::sync::{Arc, AtomicBool, Mutex, Ordering};
 use scanft_race::thread;
 use scanft_server::{ContentKey, Job, JobKind, JobRegistry, JobSpec, JobStatus};
-
-/// SplitMix64: the workspace's standard seeded generator, re-derived here
-/// because the test needs per-thread deterministic streams, not `rand`.
-struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
 
 fn job(id: String, tenant: &str) -> Job {
     let table = scanft_fsm::benchmarks::build("lion").unwrap();

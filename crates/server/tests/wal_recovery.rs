@@ -139,7 +139,10 @@ fn recovery_from_random_tail_damage_equals_the_longest_valid_prefix() {
 #[test]
 fn appending_after_random_tail_damage_preserves_prefix_plus_new_events() {
     let path = std::env::temp_dir()
-        .join(format!("scanft-wal-prop-append-{}.jsonl", std::process::id()))
+        .join(format!(
+            "scanft-wal-prop-append-{}.jsonl",
+            std::process::id()
+        ))
         .to_string_lossy()
         .into_owned();
     let text = build_wal(&path);

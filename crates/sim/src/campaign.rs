@@ -8,11 +8,18 @@
 //! operation regardless of its length, so pruning short tests shrinks test
 //! application time most.
 //!
+//! Every runner here is one campaign core: a single good-circuit pass (one
+//! [`GateArena`], one [`GoodTrace`] per referenced test) and one batch loop
+//! generic over the lane word. The wide kernel (256 lanes, cone-restricted)
+//! is the product kernel; the narrow kernel (64 lanes, full re-simulation)
+//! is the differential oracle, reached by name through
+//! [`run_ordered_observing`] or [`Kernel::Narrow`].
+//!
 //! race-lint: deterministic-replay — resumed campaigns must merge journal
 //! records into results identical to an uninterrupted run, so this module
 //! must not consult wall clocks or any other ambient nondeterminism.
 
-use scanft_race::sync::Arc;
+use scanft_race::sync::{Arc, Mutex};
 
 use scanft_harness::{
     run_units, Budget, FailurePlan, Journal, JournalHeader, JournalRecord, JournalWriter,
@@ -22,14 +29,11 @@ use scanft_netlist::{GateArena, Netlist};
 
 use crate::engine::{FaultEngine, InjectionPlan};
 use crate::faults::Fault;
-use crate::logic::{self, Evaluator, GoodTrace};
+use crate::logic::{Evaluator, GoodTrace};
 use crate::word::{for_each_lane, LaneWord, W256};
-use crate::{ScanResponse, ScanTest};
+use crate::ScanTest;
 
-/// Number of 64-lane journal slots covered by one wide (256-lane) batch.
-const WIDE_SLOTS: usize = W256::LANES / 64;
-
-/// Which simulation kernel a supervised campaign runs on.
+/// Which simulation kernel a campaign runs on.
 ///
 /// Both kernels produce bit-identical detection verdicts (the wide kernel's
 /// lane `l` behaves exactly like the narrow kernel's lane `l % 64`), and
@@ -39,32 +43,43 @@ const WIDE_SLOTS: usize = W256::LANES / 64;
 pub enum Kernel {
     /// 64 faults per pass, full netlist re-evaluation per cycle. The
     /// differential oracle.
-    #[default]
     Narrow,
     /// 256 faults per pass with cone-restricted, event-driven evaluation
     /// (PPSFP): only gates inside the batch's fault cones whose fanins
     /// deviate from the precomputed fault-free trace are re-evaluated.
+    /// The product kernel.
+    #[default]
     Wide,
 }
 
-impl Kernel {
-    /// Parses a `--kernel=` flag value.
-    #[must_use]
-    pub fn from_flag(value: &str) -> Option<Self> {
-        match value {
-            "narrow" => Some(Kernel::Narrow),
-            "wide" => Some(Kernel::Wide),
-            _ => None,
-        }
-    }
+/// The per-kernel facts of the campaign core: the lane word, how one
+/// batch's injection plan is built, and the sequential runner's timer.
+trait KernelWord: LaneWord {
+    /// Timer name of the sequential runner on this kernel.
+    const TIMER: &'static str;
 
-    /// The flag spelling (`narrow` / `wide`).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Kernel::Narrow => "narrow",
-            Kernel::Wide => "wide",
-        }
+    /// Builds the injection plan for one batch of at most `LANES` faults.
+    fn plan(netlist: &Netlist, arena: &GateArena, batch: &[Fault]) -> InjectionPlan<Self>;
+}
+
+/// The narrow oracle: a plan without a cone, so every test falls through
+/// to full re-simulation.
+impl KernelWord for u64 {
+    const TIMER: &'static str = "sim.campaign.run";
+
+    fn plan(netlist: &Netlist, _arena: &GateArena, batch: &[Fault]) -> InjectionPlan<u64> {
+        InjectionPlan::build(netlist, batch)
+    }
+}
+
+/// The wide kernel: a cone-restricted plan for stuck-at batches (other
+/// fault models, and cones spanning every gate, get no cone and fall back
+/// to full evaluation).
+impl KernelWord for W256 {
+    const TIMER: &'static str = "sim.campaign.run_wide";
+
+    fn plan(netlist: &Netlist, arena: &GateArena, batch: &[Fault]) -> InjectionPlan<W256> {
+        InjectionPlan::event_driven(netlist, arena, batch)
     }
 }
 
@@ -81,6 +96,19 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
+    /// Assembles a report from per-fault verdicts.
+    fn new(detecting_test: Vec<Option<usize>>, order: &[usize]) -> Self {
+        let mut new_detections = vec![0usize; order.len()];
+        for d in detecting_test.iter().flatten() {
+            new_detections[*d] += 1;
+        }
+        CampaignReport {
+            detecting_test,
+            order: order.to_vec(),
+            new_detections,
+        }
+    }
+
     /// Total number of faults simulated.
     #[must_use]
     pub fn num_faults(&self) -> usize {
@@ -125,11 +153,11 @@ impl CampaignReport {
 }
 
 /// Simulates `tests` in the given order against `faults` with fault
-/// dropping.
+/// dropping, on the wide kernel.
 ///
-/// Faults are processed in batches of 64 lanes; each batch walks the test
-/// list once, skipping lanes already detected, so the result is identical
-/// to per-fault sequential simulation with dropping.
+/// Each batch walks the test list once, skipping lanes already detected,
+/// so the result is identical to per-fault sequential simulation with
+/// dropping.
 #[must_use]
 pub fn run(netlist: &Netlist, tests: &[ScanTest], faults: &[Fault]) -> CampaignReport {
     let order: Vec<usize> = (0..tests.len()).collect();
@@ -158,7 +186,7 @@ pub fn decreasing_length_order(tests: &[ScanTest]) -> Vec<usize> {
 }
 
 /// Simulates tests in an explicit order (indices into `tests`) with fault
-/// dropping.
+/// dropping, on the wide kernel.
 ///
 /// # Panics
 ///
@@ -170,12 +198,17 @@ pub fn run_ordered(
     order: &[usize],
     faults: &[Fault],
 ) -> CampaignReport {
-    run_ordered_observing(netlist, tests, order, faults, true)
+    run_ordered_wide(netlist, tests, order, faults, true)
 }
 
-/// Like [`run_ordered`], with the scan-out observation made optional —
+/// The narrow-kernel oracle: [`run_ordered`] on 64-fault batches with full
+/// re-simulation, and with the scan-out observation made optional —
 /// `observe_scan_out = false` models non-scan test application where faults
 /// are visible only at the primary outputs.
+///
+/// # Panics
+///
+/// Panics if `order` references a test out of range.
 #[must_use]
 pub fn run_ordered_observing(
     netlist: &Netlist,
@@ -184,67 +217,7 @@ pub fn run_ordered_observing(
     faults: &[Fault],
     observe_scan_out: bool,
 ) -> CampaignReport {
-    let obs = scanft_obs::global();
-    let _span = obs.timer("sim.campaign.run").start();
-    obs.counter("sim.campaign.faults").add(faults.len() as u64);
-    let batches_run = obs.counter("sim.campaign.batches");
-    let tests_simulated = obs.counter("sim.campaign.tests_simulated");
-    let tests_skipped = obs.counter("sim.campaign.tests_skipped");
-
-    // Fault-free responses, computed once per referenced test.
-    let mut responses: Vec<Option<ScanResponse>> = vec![None; tests.len()];
-    for &t in order {
-        if responses[t].is_none() {
-            responses[t] = Some(logic::simulate(netlist, &tests[t]));
-        }
-    }
-
-    let mut detecting_test: Vec<Option<usize>> = vec![None; faults.len()];
-    let mut engine = FaultEngine::new(netlist);
-    for (batch_start, batch) in faults.chunks(64).enumerate().map(|(i, b)| (i * 64, b)) {
-        if batch.is_empty() {
-            // Empty batches used to run a full (vacuous) simulation pass;
-            // skip them outright.
-            continue;
-        }
-        batches_run.inc();
-        let plan = InjectionPlan::new(netlist, batch);
-        let mut detected: u64 = 0;
-        let all = plan.lane_mask();
-        for (pos, &t) in order.iter().enumerate() {
-            let response = responses[t].as_ref().expect("response precomputed");
-            tests_simulated.inc();
-            let newly =
-                engine.run_test_observing(&tests[t], response, &plan, detected, observe_scan_out);
-            if newly != 0 {
-                let mut lanes = newly;
-                while lanes != 0 {
-                    let lane = lanes.trailing_zeros() as usize;
-                    detecting_test[batch_start + lane] = Some(pos);
-                    lanes &= lanes - 1;
-                }
-                detected |= newly;
-            }
-            if detected == all {
-                // Fault dropping: the whole batch is detected, so the rest
-                // of the ordered test list never has to be simulated.
-                tests_skipped.add((order.len() - pos - 1) as u64);
-                break;
-            }
-        }
-    }
-
-    obs.counter("sim.kernel.gate_evals")
-        .add(engine.take_gate_evals());
-    let mut new_detections = vec![0usize; order.len()];
-    for d in detecting_test.iter().flatten() {
-        new_detections[*d] += 1;
-    }
-    CampaignReport {
-        detecting_test,
-        order: order.to_vec(),
-        new_detections,
-    }
+    run_sequential::<u64>(netlist, tests, order, faults, observe_scan_out)
 }
 
 /// Sequential campaign on the **wide kernel**: 256-fault batches evaluated
@@ -264,142 +237,103 @@ pub fn run_ordered_wide(
     faults: &[Fault],
     observe_scan_out: bool,
 ) -> CampaignReport {
-    let obs = scanft_obs::global();
-    let _span = obs.timer("sim.campaign.run_wide").start();
-    obs.counter("sim.campaign.faults").add(faults.len() as u64);
-    let batches_run = obs.counter("sim.campaign.batches");
-    let tests_simulated = obs.counter("sim.campaign.tests_simulated");
-    let tests_skipped = obs.counter("sim.campaign.tests_skipped");
-
-    let arena = Arc::new(GateArena::build(netlist));
-    // Fault-free traces, recorded once per referenced test and shared by
-    // every batch.
-    let mut traces: Vec<Option<GoodTrace>> = vec![None; tests.len()];
-    {
-        let mut evaluator = Evaluator::with_arena(netlist, Arc::clone(&arena));
-        for &t in order {
-            if traces[t].is_none() {
-                traces[t] = Some(evaluator.record_trace(&tests[t]));
-            }
-        }
-    }
-
-    let mut detecting_test: Vec<Option<usize>> = vec![None; faults.len()];
-    let mut engine = FaultEngine::<W256>::with_arena(netlist, Arc::clone(&arena));
-    for (batch_start, batch) in faults
-        .chunks(W256::LANES)
-        .enumerate()
-        .map(|(i, b)| (i * W256::LANES, b))
-    {
-        if batch.is_empty() {
-            continue;
-        }
-        batches_run.inc();
-        let plan = InjectionPlan::<W256>::event_driven(netlist, &arena, batch);
-        let mut detected = W256::zero();
-        let all = plan.lane_mask();
-        for (pos, &t) in order.iter().enumerate() {
-            let trace = traces[t].as_ref().expect("trace precomputed");
-            tests_simulated.inc();
-            let newly =
-                engine.run_test_event_driven(&tests[t], trace, &plan, detected, observe_scan_out);
-            if !newly.is_zero() {
-                for_each_lane(newly, |lane| detecting_test[batch_start + lane] = Some(pos));
-                detected |= newly;
-            }
-            if detected == all {
-                tests_skipped.add((order.len() - pos - 1) as u64);
-                break;
-            }
-        }
-    }
-
-    obs.counter("sim.kernel.gate_evals")
-        .add(engine.take_gate_evals());
-    let mut new_detections = vec![0usize; order.len()];
-    for d in detecting_test.iter().flatten() {
-        new_detections[*d] += 1;
-    }
-    CampaignReport {
-        detecting_test,
-        order: order.to_vec(),
-        new_detections,
-    }
+    run_sequential::<W256>(netlist, tests, order, faults, observe_scan_out)
 }
 
-/// Like [`run_ordered_observing`], with the 64-fault batches distributed
-/// over `num_threads` worker threads. Batches are independent (each owns
-/// its lanes), so the result is bit-identical to the sequential runner.
-///
-/// Runs through the panic-isolating supervisor: a worker panic no longer
-/// aborts the whole campaign (the old behaviour was
-/// `handle.join().expect("worker thread panicked")`). Instead the bad
-/// batch is quarantined and its faults stay undetected, which keeps the
-/// returned coverage a sound lower bound; callers that need to distinguish
-/// quarantined from genuinely undetected faults use [`run_supervised`].
-///
-/// # Panics
-///
-/// Panics if `num_threads == 0` or `order` references a test out of range.
-#[must_use]
-pub fn run_parallel(
+/// The good-circuit pass of a campaign: the fault-free trace of every test
+/// `order` references, recorded once over the shared `arena`.
+fn good_traces(
+    netlist: &Netlist,
+    arena: &Arc<GateArena>,
+    tests: &[ScanTest],
+    order: &[usize],
+) -> Vec<Option<GoodTrace>> {
+    let mut evaluator = Evaluator::with_arena(netlist, Arc::clone(arena));
+    let mut traces: Vec<Option<GoodTrace>> = vec![None; tests.len()];
+    for &t in order {
+        if traces[t].is_none() {
+            traces[t] = Some(evaluator.record_trace(&tests[t]));
+        }
+    }
+    traces
+}
+
+/// One batch simulated against the ordered test list with fault dropping:
+/// the tests run until every lane of `plan` outside `skip` is detected.
+/// Returns the detecting-test position per lane and the number of tests
+/// simulated.
+fn run_batch<W: LaneWord>(
+    engine: &mut FaultEngine<'_, W>,
+    tests: &[ScanTest],
+    order: &[usize],
+    traces: &[Option<GoodTrace>],
+    plan: &InjectionPlan<W>,
+    skip: W,
+    observe_scan_out: bool,
+) -> (Vec<Option<usize>>, usize) {
+    let mut local: Vec<Option<usize>> = vec![None; plan.num_faults()];
+    let all = plan.lane_mask();
+    let mut detected = skip & all;
+    for (pos, &t) in order.iter().enumerate() {
+        if detected == all {
+            // Fault dropping: the whole batch is detected, so the rest of
+            // the ordered test list never has to be simulated.
+            return (local, pos);
+        }
+        let trace = traces[t].as_ref().expect("trace precomputed");
+        let newly =
+            engine.run_test_event_driven(&tests[t], trace, plan, detected, observe_scan_out);
+        for_each_lane(newly, |lane| local[lane] = Some(pos));
+        detected |= newly;
+    }
+    (local, order.len())
+}
+
+/// The sequential runner behind [`run_ordered_observing`] and
+/// [`run_ordered_wide`].
+fn run_sequential<W: KernelWord>(
     netlist: &Netlist,
     tests: &[ScanTest],
     order: &[usize],
     faults: &[Fault],
     observe_scan_out: bool,
-    num_threads: usize,
 ) -> CampaignReport {
     let obs = scanft_obs::global();
-    let _span = obs.timer("sim.campaign.parallel").start();
-    let config = SupervisedConfig {
-        num_threads,
-        observe_scan_out,
-        label: "run_parallel".to_owned(),
-        ..SupervisedConfig::default()
-    };
-    run_supervised(netlist, tests, order, faults, &config, None, None, None)
-        .expect("no journal attached, so supervised run cannot fail")
-        .report
-}
+    let _span = obs.timer(W::TIMER).start();
+    obs.counter("sim.campaign.faults").add(faults.len() as u64);
+    let batches_run = obs.counter("sim.campaign.batches");
+    let tests_simulated = obs.counter("sim.campaign.tests_simulated");
+    let tests_skipped = obs.counter("sim.campaign.tests_skipped");
+    if order.is_empty() {
+        // No test can detect anything (top-up's pure-ATPG phase 1), so no
+        // batch needs a plan.
+        batches_run.add(faults.len().div_ceil(W::LANES) as u64);
+        return CampaignReport::new(vec![None; faults.len()], order);
+    }
 
-/// One 64-fault batch simulated against the ordered test list with fault
-/// dropping; returns the detecting-test position per lane.
-fn run_batch(
-    engine: &mut FaultEngine,
-    netlist: &Netlist,
-    tests: &[ScanTest],
-    order: &[usize],
-    responses: &[Option<ScanResponse>],
-    batch: &[Fault],
-    observe_scan_out: bool,
-) -> Vec<Option<usize>> {
-    if batch.is_empty() {
-        // `InjectionPlan` over zero faults has an all-zero lane mask, which
-        // the detection loop used to treat as "already done" only after a
-        // full simulation pass. Return without touching the engine.
-        return Vec::new();
+    let arena = Arc::new(GateArena::build(netlist));
+    let traces = good_traces(netlist, &arena, tests, order);
+    let mut engine = FaultEngine::<W>::with_arena(netlist, Arc::clone(&arena));
+    let mut detecting_test: Vec<Option<usize>> = Vec::with_capacity(faults.len());
+    for batch in faults.chunks(W::LANES) {
+        batches_run.inc();
+        let plan = W::plan(netlist, &arena, batch);
+        let (local, simulated) = run_batch(
+            &mut engine,
+            tests,
+            order,
+            &traces,
+            &plan,
+            W::zero(),
+            observe_scan_out,
+        );
+        tests_simulated.add(simulated as u64);
+        tests_skipped.add((order.len() - simulated) as u64);
+        detecting_test.extend(local);
     }
-    let plan = InjectionPlan::new(netlist, batch);
-    let mut local: Vec<Option<usize>> = vec![None; batch.len()];
-    let mut detected: u64 = 0;
-    let all = plan.lane_mask();
-    for (pos, &t) in order.iter().enumerate() {
-        let response = responses[t].as_ref().expect("precomputed");
-        let newly =
-            engine.run_test_observing(&tests[t], response, &plan, detected, observe_scan_out);
-        let mut lanes = newly;
-        while lanes != 0 {
-            let lane = lanes.trailing_zeros() as usize;
-            local[lane] = Some(pos);
-            lanes &= lanes - 1;
-        }
-        detected |= newly;
-        if detected == all {
-            break;
-        }
-    }
-    local
+    obs.counter("sim.kernel.gate_evals")
+        .add(engine.take_gate_evals());
+    CampaignReport::new(detecting_test, order)
 }
 
 /// Knobs for a supervised campaign run.
@@ -416,10 +350,10 @@ pub struct SupervisedConfig {
     /// Which simulation kernel to run on. Verdicts and journal layout are
     /// identical across kernels; only throughput differs.
     pub kernel: Kernel,
-    /// Pre-built gate arena for the wide kernel. `None` builds one per run;
-    /// a caching caller (the `scanft serve` artifact cache) passes a shared
-    /// arena so repeat campaigns on the same netlist skip the rebuild. The
-    /// arena carries no per-run state, so sharing cannot change verdicts.
+    /// Pre-built gate arena. `None` builds one per run; a caching caller
+    /// (the `scanft serve` artifact cache) passes a shared arena so repeat
+    /// campaigns on the same netlist skip the rebuild. The arena carries no
+    /// per-run state, so sharing cannot change verdicts.
     pub arena: Option<Arc<GateArena>>,
 }
 
@@ -430,7 +364,7 @@ impl Default for SupervisedConfig {
             observe_scan_out: true,
             budget: Budget::unlimited(),
             label: "campaign".to_owned(),
-            kernel: Kernel::Narrow,
+            kernel: Kernel::Wide,
             arena: None,
         }
     }
@@ -497,16 +431,16 @@ impl PartialReport {
     }
 }
 
-/// Runs a campaign under the resilient supervisor: 64-fault batches with
-/// panic quarantine, an enforced [`Budget`], an optional append-only
+/// Runs a campaign under the resilient supervisor: 64-fault journal units
+/// with panic quarantine, an enforced [`Budget`], an optional append-only
 /// checkpoint journal, resume from a previously written journal, and
 /// optional chaos injection.
 ///
-/// Journaling writes one header line plus one record per completed batch
+/// Journaling writes one header line plus one record per completed unit
 /// (flushed immediately, so a killed process loses at most the record
 /// being written). `resume_from` merges intact records of a prior journal
 /// — validated against this campaign's shape — and re-simulates only the
-/// missing batches; a resumed-and-completed run is bit-identical to an
+/// missing units; a resumed-and-completed run is bit-identical to an
 /// uninterrupted one.
 ///
 /// # Errors
@@ -529,13 +463,45 @@ pub fn run_supervised(
     resume_from: Option<&Journal>,
     chaos: Option<&FailurePlan>,
 ) -> Result<PartialReport, ScanftError> {
+    let supervise = match config.kernel {
+        Kernel::Narrow => supervise::<u64>,
+        Kernel::Wide => supervise::<W256>,
+    };
+    supervise(
+        netlist,
+        tests,
+        order,
+        faults,
+        config,
+        journal,
+        resume_from,
+        chaos,
+    )
+}
+
+/// The supervised driver behind [`run_supervised`]. Both kernels journal
+/// 64-lane units; one batch of `W` covers `W::LANES / 64` consecutive
+/// units (its work-unit id is the batch index), runs when any of them is
+/// missing, and is split back into per-unit records — so a checkpoint
+/// written by one kernel resumes under the other.
+#[allow(clippy::too_many_arguments)]
+fn supervise<W: KernelWord>(
+    netlist: &Netlist,
+    tests: &[ScanTest],
+    order: &[usize],
+    faults: &[Fault],
+    config: &SupervisedConfig,
+    journal: Option<&JournalWriter>,
+    resume_from: Option<&Journal>,
+    chaos: Option<&FailurePlan>,
+) -> Result<PartialReport, ScanftError> {
     assert!(config.num_threads > 0, "num_threads must be positive");
     let obs = scanft_obs::global();
     let _span = obs.timer("sim.campaign.supervised").start();
     obs.counter("sim.campaign.faults").add(faults.len() as u64);
 
-    let batches: Vec<&[Fault]> = faults.chunks(64).collect();
-    let num_units = batches.len();
+    let num_units = faults.len().div_ceil(64);
+    let unit_faults = |unit: usize| &faults[unit * 64..((unit + 1) * 64).min(faults.len())];
     let header = JournalHeader {
         label: config.label.clone(),
         faults: faults.len(),
@@ -550,7 +516,7 @@ pub fn run_supervised(
     if let Some(journal) = resume_from {
         journal.validate(&header)?;
         for record in &journal.records {
-            if record.unit < num_units && record.lanes.len() == batches[record.unit].len() {
+            if record.unit < num_units && record.lanes.len() == unit_faults(record.unit).len() {
                 // Last record wins; duplicates can only disagree if the
                 // journal was tampered with, and simulation re-derives the
                 // truth for any unit we refuse here.
@@ -570,168 +536,68 @@ pub fn run_supervised(
             })?;
     }
 
-    let pending: Vec<usize> = (0..num_units).filter(|&u| prior[u].is_none()).collect();
+    let prior = &prior;
+    let slots = W::LANES / 64;
+    let batch_units = move |batch: usize| batch * slots..((batch + 1) * slots).min(num_units);
+    let missing_units = move |batch: usize| batch_units(batch).filter(move |&u| prior[u].is_none());
+    let pending: Vec<usize> = (0..num_units.div_ceil(slots))
+        .filter(|&batch| missing_units(batch).next().is_some())
+        .collect();
+
+    let arena = config
+        .arena
+        .clone()
+        .unwrap_or_else(|| Arc::new(GateArena::build(netlist)));
+    let traces = good_traces(netlist, &arena, tests, order);
     let batches_run = obs.counter("sim.campaign.batches");
     let gate_evals = obs.counter("sim.kernel.gate_evals");
-    let journal_error: scanft_race::sync::Mutex<Option<String>> =
-        scanft_race::sync::Mutex::new(None);
-    let append_record = |unit: usize, lanes: &[Option<usize>]| {
-        if let Some(writer) = journal {
-            let record = JournalRecord {
-                unit,
-                lanes: lanes.iter().map(|d| d.map(|p| p as u64)).collect(),
-            };
-            if let Err(e) = writer.append(&record) {
-                journal_error.lock().get_or_insert_with(|| e.to_string());
+    let journal_error: Mutex<Option<String>> = Mutex::new(None);
+    let outcome = run_units(
+        &pending,
+        config.num_threads,
+        &config.budget,
+        chaos,
+        || FaultEngine::<W>::with_arena(netlist, Arc::clone(&arena)),
+        |engine, batch| {
+            let first = batch_units(batch).start;
+            let batch_faults = &faults[first * 64..(batch_units(batch).end * 64).min(faults.len())];
+            batches_run.inc();
+            let plan = W::plan(netlist, &arena, batch_faults);
+            // Lanes of already-journaled units stay skipped: they quiesce
+            // to fault-free values and cost no events.
+            let mut skip = W::zero();
+            for unit in batch_units(batch).filter(|&u| prior[u].is_some()) {
+                let slot = unit - first;
+                skip |= W::low_lanes(64 * (slot + 1)) & !W::low_lanes(64 * slot);
             }
-        }
-    };
-
-    // Both kernels journal 64-lane units; the wide kernel simulates
-    // four-unit "super batches" and splits each into per-unit records, so a
-    // checkpoint written by one kernel resumes under the other.
-    let (fresh, quarantined, remaining_units, stopped) = match config.kernel {
-        Kernel::Narrow => {
-            // Fault-free responses, computed once up front and shared
-            // read-only.
-            let mut responses: Vec<Option<ScanResponse>> = vec![None; tests.len()];
-            for &t in order {
-                if responses[t].is_none() {
-                    responses[t] = Some(logic::simulate(netlist, &tests[t]));
-                }
-            }
-            let outcome = run_units(
-                &pending,
-                config.num_threads,
-                &config.budget,
-                chaos,
-                || FaultEngine::new(netlist),
-                |engine, unit| {
-                    batches_run.inc();
-                    let local = run_batch(
-                        engine,
-                        netlist,
-                        tests,
-                        order,
-                        &responses,
-                        batches[unit],
-                        config.observe_scan_out,
-                    );
-                    gate_evals.add(engine.take_gate_evals());
-                    append_record(unit, &local);
-                    local
-                },
+            let (local, _) = run_batch(
+                engine,
+                tests,
+                order,
+                &traces,
+                &plan,
+                skip,
+                config.observe_scan_out,
             );
-            (
-                outcome.completed,
-                outcome.quarantined,
-                outcome.remaining,
-                outcome.stopped,
-            )
-        }
-        Kernel::Wide => {
-            let arena = config
-                .arena
-                .clone()
-                .unwrap_or_else(|| Arc::new(GateArena::build(netlist)));
-            let mut traces: Vec<Option<GoodTrace>> = vec![None; tests.len()];
-            {
-                let mut evaluator = Evaluator::with_arena(netlist, Arc::clone(&arena));
-                for &t in order {
-                    if traces[t].is_none() {
-                        traces[t] = Some(evaluator.record_trace(&tests[t]));
+            gate_evals.add(engine.take_gate_evals());
+            missing_units(batch)
+                .map(|unit| {
+                    let lo = (unit - first) * 64;
+                    let verdicts = local[lo..(lo + 64).min(local.len())].to_vec();
+                    if let Some(writer) = journal {
+                        let record = JournalRecord {
+                            unit,
+                            lanes: verdicts.iter().map(|d| d.map(|p| p as u64)).collect(),
+                        };
+                        if let Err(e) = writer.append(&record) {
+                            journal_error.lock().get_or_insert_with(|| e.to_string());
+                        }
                     }
-                }
-            }
-            let num_supers = num_units.div_ceil(WIDE_SLOTS);
-            let supers: Vec<usize> = (0..num_supers)
-                .filter(|&s| {
-                    (s * WIDE_SLOTS..((s + 1) * WIDE_SLOTS).min(num_units))
-                        .any(|slot| prior[slot].is_none())
+                    (unit, verdicts)
                 })
-                .collect();
-            let prior = &prior;
-            let outcome = run_units(
-                &supers,
-                config.num_threads,
-                &config.budget,
-                chaos,
-                || FaultEngine::<W256>::with_arena(netlist, Arc::clone(&arena)),
-                |engine, s| {
-                    let slot_lo = s * WIDE_SLOTS;
-                    let slot_hi = (slot_lo + WIDE_SLOTS).min(num_units);
-                    let batch = &faults[slot_lo * 64..(slot_hi * 64).min(faults.len())];
-                    batches_run.inc();
-                    let plan = InjectionPlan::<W256>::event_driven(netlist, &arena, batch);
-                    // Lanes of already-journaled units stay skipped: they
-                    // quiesce to fault-free values and cost no events.
-                    let mut skip = W256::zero();
-                    for (offset, done) in prior[slot_lo..slot_hi].iter().enumerate() {
-                        if done.is_some() {
-                            skip |= slot_mask(offset);
-                        }
-                    }
-                    let all = plan.lane_mask();
-                    let mut detected = skip & all;
-                    let mut local: Vec<Option<usize>> = vec![None; batch.len()];
-                    for (pos, &t) in order.iter().enumerate() {
-                        let trace = traces[t].as_ref().expect("trace precomputed");
-                        let newly = engine.run_test_event_driven(
-                            &tests[t],
-                            trace,
-                            &plan,
-                            detected,
-                            config.observe_scan_out,
-                        );
-                        if !newly.is_zero() {
-                            for_each_lane(newly, |lane| local[lane] = Some(pos));
-                            detected |= newly;
-                        }
-                        if detected == all {
-                            break;
-                        }
-                    }
-                    gate_evals.add(engine.take_gate_evals());
-                    let mut out: Vec<(usize, Vec<Option<usize>>)> = Vec::new();
-                    for (offset, done) in prior[slot_lo..slot_hi].iter().enumerate() {
-                        if done.is_some() {
-                            continue;
-                        }
-                        let slot = slot_lo + offset;
-                        let lane_lo = offset * 64;
-                        let lane_hi = (lane_lo + 64).min(batch.len());
-                        let verdicts = local[lane_lo..lane_hi].to_vec();
-                        append_record(slot, &verdicts);
-                        out.push((slot, verdicts));
-                    }
-                    out
-                },
-            );
-            let fresh: Vec<(usize, Vec<Option<usize>>)> = outcome
-                .completed
-                .into_iter()
-                .flat_map(|(_, locals)| locals)
-                .collect();
-            let expand = |s: usize| {
-                (s * WIDE_SLOTS..((s + 1) * WIDE_SLOTS).min(num_units))
-                    .filter(|&slot| prior[slot].is_none())
-            };
-            let quarantined: Vec<UnitFailure> = outcome
-                .quarantined
-                .into_iter()
-                .flat_map(|f| {
-                    let message = f.message;
-                    expand(f.unit).map(move |slot| UnitFailure {
-                        unit: slot,
-                        message: message.clone(),
-                    })
-                })
-                .collect();
-            let remaining: Vec<usize> =
-                outcome.remaining.iter().copied().flat_map(expand).collect();
-            (fresh, quarantined, remaining, outcome.stopped)
-        }
-    };
+                .collect::<Vec<_>>()
+        },
+    );
     if let Some(message) = journal_error.into_inner() {
         return Err(ScanftError::Journal {
             message: format!("writing journal record: {message}"),
@@ -747,38 +613,37 @@ pub fn run_supervised(
         }
     }
     let mut completed_units = resumed_units.clone();
-    for (unit, local) in &fresh {
-        completed_units.push(*unit);
-        for (lane, &verdict) in local.iter().enumerate() {
-            detecting_test[unit * 64 + lane] = verdict;
-        }
+    for (unit, verdicts) in outcome.completed.into_iter().flat_map(|(_, units)| units) {
+        completed_units.push(unit);
+        detecting_test[unit * 64..unit * 64 + verdicts.len()].copy_from_slice(&verdicts);
     }
     completed_units.sort_unstable();
+    let quarantined: Vec<UnitFailure> = outcome
+        .quarantined
+        .into_iter()
+        .flat_map(|f| {
+            missing_units(f.unit).map(move |unit| UnitFailure {
+                unit,
+                message: f.message.clone(),
+            })
+        })
+        .collect();
+    let remaining_units: Vec<usize> = outcome
+        .remaining
+        .iter()
+        .copied()
+        .flat_map(missing_units)
+        .collect();
 
-    let mut new_detections = vec![0usize; order.len()];
-    for d in detecting_test.iter().flatten() {
-        new_detections[*d] += 1;
-    }
     Ok(PartialReport {
-        report: CampaignReport {
-            detecting_test,
-            order: order.to_vec(),
-            new_detections,
-        },
+        report: CampaignReport::new(detecting_test, order),
         completed_units,
         resumed_units,
         quarantined,
         remaining_units,
-        stopped,
+        stopped: outcome.stopped,
         num_units,
     })
-}
-
-/// All-ones mask for the 64 lanes of the given slot within a wide word.
-fn slot_mask(slot: usize) -> W256 {
-    let mut limbs = [0u64; W256::LIMBS];
-    limbs[slot] = u64::MAX;
-    W256(limbs)
 }
 
 /// Per-test row of an effectiveness table (Table 3 of the paper).
@@ -918,19 +783,36 @@ mod tests {
         let stuck = faults::enumerate_stuck(c.netlist());
         let list = faults::as_fault_list(&stuck);
         let order: Vec<usize> = (0..tests.len()).collect();
-        let sequential = run_ordered(c.netlist(), &tests, &order, &list);
-        for threads in [1, 2, 4] {
-            let parallel = run_parallel(c.netlist(), &tests, &order, &list, true, threads);
-            assert_eq!(
-                parallel.detecting_test, sequential.detecting_test,
-                "{threads}"
-            );
-            assert_eq!(parallel.new_detections, sequential.new_detections);
+        for observe_scan_out in [true, false] {
+            let sequential =
+                run_ordered_observing(c.netlist(), &tests, &order, &list, observe_scan_out);
+            for kernel in [Kernel::Narrow, Kernel::Wide] {
+                for num_threads in [1, 2, 4] {
+                    let config = SupervisedConfig {
+                        num_threads,
+                        observe_scan_out,
+                        kernel,
+                        ..SupervisedConfig::default()
+                    };
+                    let parallel = run_supervised(
+                        c.netlist(),
+                        &tests,
+                        &order,
+                        &list,
+                        &config,
+                        None,
+                        None,
+                        None,
+                    )
+                    .expect("no journal involved");
+                    assert_eq!(
+                        parallel.into_complete().expect("complete"),
+                        sequential,
+                        "{kernel:?} x{num_threads} observe={observe_scan_out}"
+                    );
+                }
+            }
         }
-        // Non-observing variant agrees too.
-        let seq_po = run_ordered_observing(c.netlist(), &tests, &order, &list, false);
-        let par_po = run_parallel(c.netlist(), &tests, &order, &list, false, 3);
-        assert_eq!(par_po.detecting_test, seq_po.detecting_test);
     }
 
     /// Vacuous case pinned: an empty fault list is 100% covered — the same
@@ -955,13 +837,24 @@ mod tests {
             stuck.len()
         );
         let list = faults::as_fault_list(&stuck);
-        let report = run(c.netlist(), &tests, &list);
+        let order: Vec<usize> = (0..tests.len()).collect();
+        let narrow = run_ordered_observing(c.netlist(), &tests, &order, &list, true);
+        let wide = run(c.netlist(), &tests, &list);
         // Cross-check a sample of faults against single-fault simulation.
         for (f, fault) in list.iter().enumerate().step_by(7) {
-            let single = run(c.netlist(), &tests, std::slice::from_ref(fault));
+            let single = run_ordered_observing(
+                c.netlist(),
+                &tests,
+                &order,
+                std::slice::from_ref(fault),
+                true,
+            );
             assert_eq!(
-                single.detecting_test[0].is_some(),
-                report.detecting_test[f].is_some(),
+                single.detecting_test[0], narrow.detecting_test[f],
+                "fault {f}"
+            );
+            assert_eq!(
+                single.detecting_test[0], wide.detecting_test[f],
                 "fault {f}"
             );
         }
@@ -983,7 +876,7 @@ mod tests {
     #[test]
     fn supervised_complete_run_matches_sequential() {
         let (c, tests, order, list) = lion_campaign();
-        let sequential = run_ordered(c.netlist(), &tests, &order, &list);
+        let sequential = run_ordered_observing(c.netlist(), &tests, &order, &list, true);
         let config = SupervisedConfig {
             num_threads: 2,
             ..SupervisedConfig::default()
@@ -1040,11 +933,14 @@ mod tests {
     #[test]
     fn supervised_journal_then_resume_is_bit_identical() {
         let (c, tests, order, list) = lion_campaign();
-        let uninterrupted = run_ordered(c.netlist(), &tests, &order, &list);
+        let uninterrupted = run_ordered_observing(c.netlist(), &tests, &order, &list, true);
+        // lion's 80 faults fill one wide batch, so a partial journal needs
+        // the narrow kernel's 64-fault batches.
         let config = SupervisedConfig {
             num_threads: 2,
             // Stop after one batch so the journal is genuinely partial.
             budget: Budget::unlimited().with_max_units(1),
+            kernel: Kernel::Narrow,
             ..SupervisedConfig::default()
         };
         let (writer, buffer) = JournalWriter::in_memory();
@@ -1066,6 +962,7 @@ mod tests {
         assert_eq!(journal.records.len(), 1);
         let resumed_config = SupervisedConfig {
             num_threads: 2,
+            kernel: Kernel::Narrow,
             ..SupervisedConfig::default()
         };
         let resumed = run_supervised(
@@ -1117,9 +1014,13 @@ mod tests {
         // Regression: an empty batch used to run a full (vacuous)
         // simulation pass before noticing its all-zero lane mask.
         let (c, tests, order, _) = lion_campaign();
+        let arena = Arc::new(GateArena::build(c.netlist()));
+        let traces = good_traces(c.netlist(), &arena, &tests, &order);
         let mut engine = FaultEngine::new(c.netlist());
-        let verdicts = run_batch(&mut engine, c.netlist(), &tests, &order, &[], &[], true);
+        let plan = InjectionPlan::new(c.netlist(), &[]);
+        let (verdicts, simulated) = run_batch(&mut engine, &tests, &order, &traces, &plan, 0, true);
         assert!(verdicts.is_empty());
+        assert_eq!(simulated, 0);
         assert_eq!(engine.gate_evals(), 0, "empty batch must not simulate");
     }
 
@@ -1139,7 +1040,7 @@ mod tests {
     #[test]
     fn wide_supervised_matches_narrow_and_journals_64_lane_units() {
         let (c, tests, order, list) = lion_campaign();
-        let sequential = run_ordered(c.netlist(), &tests, &order, &list);
+        let sequential = run_ordered_observing(c.netlist(), &tests, &order, &list, true);
         let config = SupervisedConfig {
             num_threads: 2,
             kernel: Kernel::Wide,
@@ -1174,9 +1075,10 @@ mod tests {
         // continues under the wide kernel (journaled units become skipped
         // lanes in the super batch) with bit-identical results.
         let (c, tests, order, list) = lion_campaign();
-        let uninterrupted = run_ordered(c.netlist(), &tests, &order, &list);
+        let uninterrupted = run_ordered_observing(c.netlist(), &tests, &order, &list, true);
         let narrow_config = SupervisedConfig {
             budget: Budget::unlimited().with_max_units(1),
+            kernel: Kernel::Narrow,
             ..SupervisedConfig::default()
         };
         let (writer, buffer) = JournalWriter::in_memory();
@@ -1216,20 +1118,16 @@ mod tests {
     }
 
     #[test]
-    fn kernel_flag_round_trips() {
-        assert_eq!(Kernel::from_flag("narrow"), Some(Kernel::Narrow));
-        assert_eq!(Kernel::from_flag("wide"), Some(Kernel::Wide));
-        assert_eq!(Kernel::from_flag("256"), None);
-        assert_eq!(Kernel::Narrow.name(), "narrow");
-        assert_eq!(Kernel::Wide.name(), "wide");
-        assert_eq!(Kernel::default(), Kernel::Narrow);
+    fn kernel_defaults_to_wide() {
+        assert_eq!(Kernel::default(), Kernel::Wide);
+        assert_eq!(SupervisedConfig::default().kernel, Kernel::Wide);
     }
 
     #[test]
     fn supervised_quarantine_keeps_coverage_a_lower_bound() {
         scanft_harness::silence_chaos_panics();
         let (c, tests, order, list) = lion_campaign();
-        let sequential = run_ordered(c.netlist(), &tests, &order, &list);
+        let sequential = run_ordered_observing(c.netlist(), &tests, &order, &list, true);
         // Panic on every unit: coverage must be exactly zero, never invented.
         let plan = FailurePlan::new(7).with_panic_rate(1, 1);
         let partial = run_supervised(

@@ -40,14 +40,16 @@
 //! union provably carries the fault-free value in every lane (the cone is
 //! closed under structural fanout *and* the scan boundary), and a cone
 //! gate with clean fanins, no stem force and no branch force reproduces the
-//! fault-free output exactly — so skipping it cannot change any lane.
+//! fault-free output exactly — so skipping it cannot change any lane. A
+//! cone union that spans every gate restricts nothing; such a batch runs
+//! the plain full pass, which is cheaper than the worklist bookkeeping.
 
 use scanft_race::sync::Arc;
 
 use scanft_netlist::{FaultCone, GateArena, NetId, Netlist};
 
 use crate::faults::{BridgeKind, Fault, FaultSite};
-use crate::logic::{eval_gate_fanins, eval_gate_scratch, GoodTrace};
+use crate::logic::{eval_gate, GoodTrace};
 use crate::word::LaneWord;
 use crate::{ScanResponse, ScanTest};
 
@@ -79,6 +81,20 @@ impl<W: LaneWord> Force<W> {
 
     fn is_noop(self) -> bool {
         self.to_zero.is_zero() && self.to_one.is_zero()
+    }
+
+    /// Adds a stuck-at-`one` force in the lanes of `mask`.
+    fn add(&mut self, mask: W, one: bool) {
+        if one {
+            self.to_one |= mask;
+        } else {
+            self.to_zero |= mask;
+        }
+    }
+
+    /// The lanes this force touches.
+    fn lanes(self) -> W {
+        self.to_zero | self.to_one
     }
 
     /// The force restricted to the lanes of `live`. The event-driven path
@@ -117,9 +133,9 @@ struct DelaySite<W: LaneWord> {
 pub struct InjectionPlan<W: LaneWord = u64> {
     num_faults: usize,
     stem: Vec<Force<W>>,
-    /// Branch forces sorted by (gate, pin) and indexed by `branch_start`,
-    /// so the per-gate lookup is a dense slice instead of a linear scan of
-    /// the whole batch.
+    /// Branch forces grouped by gate (one per forced pin) and indexed by
+    /// `branch_start`, so the per-gate lookup is a dense slice instead of a
+    /// linear scan of the whole batch.
     branch: Vec<(u32, u32, Force<W>)>,
     /// CSR offsets into `branch` per gate (`num_gates + 1` entries); empty
     /// when the batch has no branch faults.
@@ -133,7 +149,8 @@ pub struct InjectionPlan<W: LaneWord = u64> {
     delays: Vec<DelaySite<W>>,
     has_bridges: bool,
     /// Union of the batch's fault cones (stuck-only batches built via
-    /// [`InjectionPlan::event_driven`]); `None` forces full re-evaluation.
+    /// [`InjectionPlan::event_driven`] whose cones leave some gate out);
+    /// `None` forces full re-evaluation.
     cone: Option<FaultCone>,
     /// PI indices carrying a stem force — the only PIs the event-driven
     /// path must reload per cycle.
@@ -142,9 +159,10 @@ pub struct InjectionPlan<W: LaneWord = u64> {
     /// the cone); only populated alongside `cone`. The worklist orders
     /// events by this position, which is topological.
     cone_pos: Vec<u32>,
-    /// Cone positions of gates carrying a stem or branch force — the
-    /// worklist seeds, re-filtered per run against the live-lane mask.
-    force_gates: Vec<u32>,
+    /// Cone positions of gates carrying a stem or branch force, each with
+    /// the union of the lanes its forces touch — the worklist seeds,
+    /// re-filtered per run with one AND against the live-lane mask.
+    force_gates: Vec<(u32, W)>,
 }
 
 impl InjectionPlan<u64> {
@@ -174,7 +192,8 @@ impl<W: LaneWord> InjectionPlan<W> {
         );
         let num_nets = netlist.num_nets();
         let mut stem = vec![Force::<W>::default(); num_nets];
-        let mut raw_branch: Vec<(u32, u32, Force<W>)> = Vec::new();
+        // Branch faults as (gate, pin, lane << 1 | stuck_at_one).
+        let mut raw_branch: Vec<(u32, u32, u32)> = Vec::with_capacity(faults.len());
         let mut raw_taps: Vec<(NetId, BridgeTap<W>)> = Vec::new();
         let mut delays: Vec<DelaySite<W>> = Vec::new();
         let mut has_bridges = false;
@@ -182,23 +201,16 @@ impl<W: LaneWord> InjectionPlan<W> {
         for (lane, fault) in faults.iter().enumerate() {
             let mask = W::lane_bit(lane);
             match *fault {
-                Fault::Stuck(f) => {
-                    let force = |slot: &mut Force<W>| {
-                        if f.stuck_at_one {
-                            slot.to_one |= mask;
-                        } else {
-                            slot.to_zero |= mask;
-                        }
-                    };
-                    match f.site {
-                        FaultSite::Net(net) => force(&mut stem[net as usize]),
-                        FaultSite::Branch { gate, pin } => {
-                            let mut f2 = Force::default();
-                            force(&mut f2);
-                            raw_branch.push((gate, pin, f2));
-                        }
+                Fault::Stuck(f) => match f.site {
+                    FaultSite::Net(net) => stem[net as usize].add(mask, f.stuck_at_one),
+                    FaultSite::Branch { gate, pin } => {
+                        raw_branch.push((
+                            gate,
+                            pin,
+                            (lane as u32) << 1 | u32::from(f.stuck_at_one),
+                        ));
                     }
-                }
+                },
                 Fault::Bridge(f) => {
                     has_bridges = true;
                     let tap = |partner| BridgeTap {
@@ -230,23 +242,37 @@ impl<W: LaneWord> InjectionPlan<W> {
             }
         }
 
-        // Merge branch duplicates and index them per gate.
-        raw_branch.sort_by_key(|&(g, p, _)| (g, p));
+        // Bucket the branch faults per gate (a counting sort whose buckets
+        // are the CSR index) and merge the faults on one pin into one force.
         let mut branch: Vec<(u32, u32, Force<W>)> = Vec::with_capacity(raw_branch.len());
-        for (g, p, f) in raw_branch {
-            match branch.last_mut() {
-                Some(last) if last.0 == g && last.1 == p => {
-                    last.2.to_zero |= f.to_zero;
-                    last.2.to_one |= f.to_one;
+        let mut branch_start = Vec::new();
+        if !raw_branch.is_empty() {
+            let bucket = csr_offsets(netlist.num_gates(), raw_branch.iter().map(|b| b.0));
+            let mut fill = bucket.clone();
+            let mut by_gate = vec![(0u32, 0u32, 0u32); raw_branch.len()];
+            for b in raw_branch {
+                by_gate[fill[b.0 as usize] as usize] = b;
+                fill[b.0 as usize] += 1;
+            }
+            branch_start.reserve_exact(bucket.len());
+            branch_start.push(0);
+            for range in bucket.windows(2) {
+                let first = branch.len();
+                for &(gate, pin, key) in &by_gate[range[0] as usize..range[1] as usize] {
+                    let slot = match branch[first..].iter().position(|b| b.1 == pin) {
+                        Some(i) => first + i,
+                        None => {
+                            branch.push((gate, pin, Force::default()));
+                            branch.len() - 1
+                        }
+                    };
+                    branch[slot]
+                        .2
+                        .add(W::lane_bit((key >> 1) as usize), key & 1 == 1);
                 }
-                _ => branch.push((g, p, f)),
+                branch_start.push(branch.len() as u32);
             }
         }
-        let branch_start = if branch.is_empty() {
-            Vec::new()
-        } else {
-            csr_offsets(netlist.num_gates(), branch.iter().map(|&(g, _, _)| g))
-        };
 
         // Merge bridge-tap duplicates and index them per net.
         raw_taps.sort_by_key(|&(net, tap)| (net, tap.partner, matches!(tap.kind, BridgeKind::Or)));
@@ -295,7 +321,9 @@ impl<W: LaneWord> InjectionPlan<W> {
     /// batch's fault cones so [`FaultEngine::run_test_event_driven`] can
     /// restrict evaluation to it. Batches containing bridging or delay
     /// faults get no cone (their effects are not confined to structural
-    /// fanout) and transparently fall back to full evaluation.
+    /// fanout) and transparently fall back to full evaluation, and so do
+    /// batches whose cone union spans every gate: such a cone restricts
+    /// nothing, and the full pass costs less than the worklist bookkeeping.
     ///
     /// # Panics
     ///
@@ -303,35 +331,35 @@ impl<W: LaneWord> InjectionPlan<W> {
     #[must_use]
     pub fn event_driven(netlist: &Netlist, arena: &GateArena, faults: &[Fault]) -> Self {
         let mut plan = Self::build(netlist, faults);
-        if faults.iter().all(|f| matches!(f, Fault::Stuck(_))) {
-            let mut seed_nets: Vec<NetId> = Vec::new();
-            let mut seed_gates: Vec<u32> = Vec::new();
-            for fault in faults {
-                if let Fault::Stuck(f) = fault {
-                    match f.site {
-                        FaultSite::Net(net) => seed_nets.push(net),
-                        FaultSite::Branch { gate, .. } => seed_gates.push(gate),
-                    }
-                }
-            }
-            let cone = FaultCone::compute(netlist, arena, &seed_nets, &seed_gates);
-            let mut cone_pos = vec![u32::MAX; arena.num_gates()];
-            for (pos, &g) in cone.gates.iter().enumerate() {
-                cone_pos[g as usize] = pos as u32;
-            }
-            plan.cone_pos = cone_pos;
-            plan.force_gates = cone
-                .gates
-                .iter()
-                .enumerate()
-                .filter(|&(_, &g)| {
-                    let out = arena.gate_output(g as usize);
-                    !plan.stem[out as usize].is_noop() || !plan.branch_range(g as usize).is_empty()
-                })
-                .map(|(pos, _)| pos as u32)
-                .collect();
-            plan.cone = Some(cone);
+        if plan.has_bridges || plan.has_delays() {
+            return plan;
         }
+        // The seeds are read off the merged plan: every forced net, and
+        // every gate with a forced input pin (`branch` is grouped by gate).
+        let mut seed_nets: Vec<NetId> = Vec::with_capacity(netlist.num_nets());
+        seed_nets.extend(
+            (0..netlist.num_nets() as NetId).filter(|&net| !plan.stem[net as usize].is_noop()),
+        );
+        let mut seed_gates: Vec<u32> = plan.branch.iter().map(|&(g, _, _)| g).collect();
+        seed_gates.dedup();
+        let cone = FaultCone::compute(netlist, arena, &seed_nets, &seed_gates);
+        if cone.gates.len() == arena.num_gates() {
+            return plan;
+        }
+        let mut cone_pos = vec![u32::MAX; arena.num_gates()];
+        plan.force_gates.reserve_exact(cone.gates.len());
+        for (pos, &g) in cone.gates.iter().enumerate() {
+            cone_pos[g as usize] = pos as u32;
+            let lanes = plan.branch_range(g as usize).iter().fold(
+                plan.stem[arena.gate_output(g as usize) as usize].lanes(),
+                |acc, b| acc | b.2.lanes(),
+            );
+            if !lanes.is_zero() {
+                plan.force_gates.push((pos as u32, lanes));
+            }
+        }
+        plan.cone_pos = cone_pos;
+        plan.cone = Some(cone);
         plan
     }
 
@@ -354,13 +382,14 @@ impl<W: LaneWord> InjectionPlan<W> {
     }
 
     /// The batch's cone union, when built via
-    /// [`InjectionPlan::event_driven`] on a stuck-only batch.
+    /// [`InjectionPlan::event_driven`] on a stuck-only batch whose cones
+    /// leave some gate out.
     #[must_use]
     pub fn cone(&self) -> Option<&FaultCone> {
         self.cone.as_ref()
     }
 
-    /// Branch forces of gate `g` (sorted by pin; empty for most gates).
+    /// Branch forces of gate `g` (one per forced pin; empty for most gates).
     #[inline]
     fn branch_range(&self, g: usize) -> &[(u32, u32, Force<W>)] {
         if self.branch_start.is_empty() {
@@ -389,8 +418,25 @@ impl<W: LaneWord> InjectionPlan<W> {
     }
 }
 
-/// Builds CSR offsets (`buckets + 1` entries) for `keys`, which must be
-/// sorted ascending and `< buckets`.
+/// The event-driven path's word for `net` at `cycle`: the faulty word when
+/// the net deviates from the good trace, else the trace's fault-free value.
+#[inline(always)]
+fn current_word<W: LaneWord>(
+    dirty: &[bool],
+    values: &[W],
+    trace: &GoodTrace,
+    cycle: usize,
+    net: NetId,
+) -> W {
+    if dirty[net as usize] {
+        values[net as usize]
+    } else {
+        W::splat_bit(trace.bit(cycle, net))
+    }
+}
+
+/// Builds CSR offsets (`buckets + 1` entries) for `keys`, each `< buckets`:
+/// entry `k` counts the keys below `k`.
 fn csr_offsets(buckets: usize, keys: impl Iterator<Item = u32>) -> Vec<u32> {
     let mut start = vec![0u32; buckets + 1];
     for key in keys {
@@ -408,7 +454,6 @@ pub struct FaultEngine<'a, W: LaneWord = u64> {
     netlist: &'a Netlist,
     arena: Arc<GateArena>,
     values: Vec<W>,
-    inputs_scratch: Vec<W>,
     /// Per-net late-reading overlay for delay faults, rebuilt every cycle.
     late: Vec<Force<W>>,
     /// Nets whose `late` slot may be non-default from a previous run —
@@ -459,7 +504,6 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
             netlist,
             arena,
             values: vec![W::zero(); netlist.num_nets()],
-            inputs_scratch: Vec::new(),
             late: Vec::new(),
             late_dirty: Vec::new(),
             delay_prev: Vec::new(),
@@ -577,36 +621,29 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
         let out = arena.gate_output(g);
         let fanins = arena.fanins(g);
         let branch = plan.branch_range(g);
-        let stem = plan.stem[out as usize];
         self.gate_evals += 1;
+        let (dirty, values) = (&self.dirty, &self.values);
         let word = if branch.is_empty() {
-            self.inputs_scratch.clear();
-            for &f in fanins {
-                self.inputs_scratch.push(if self.dirty[f as usize] {
-                    self.values[f as usize]
-                } else {
-                    W::splat_bit(trace.bit(cycle, f))
-                });
-            }
-            eval_gate_scratch(arena.kind(g), &self.inputs_scratch)
+            eval_gate(
+                arena.kind(g),
+                fanins
+                    .iter()
+                    .map(|&f| current_word(dirty, values, trace, cycle, f)),
+            )
         } else {
-            self.inputs_scratch.clear();
-            for (pin, &f) in fanins.iter().enumerate() {
-                let mut v = if self.dirty[f as usize] {
-                    self.values[f as usize]
-                } else {
-                    W::splat_bit(trace.bit(cycle, f))
-                };
-                for &(_, bp, force) in branch {
-                    if bp as usize == pin {
-                        v = force.masked(live).apply(v);
-                    }
-                }
-                self.inputs_scratch.push(v);
-            }
-            eval_gate_scratch(arena.kind(g), &self.inputs_scratch)
+            eval_gate(
+                arena.kind(g),
+                fanins.iter().enumerate().map(|(pin, &f)| {
+                    branch
+                        .iter()
+                        .filter(|b| b.1 as usize == pin)
+                        .fold(current_word(dirty, values, trace, cycle, f), |v, b| {
+                            b.2.masked(live).apply(v)
+                        })
+                }),
+            )
         };
-        let word = stem.masked(live).apply(word);
+        let word = plan.stem[out as usize].masked(live).apply(word);
         self.values[out as usize] = word;
         if word != W::splat_bit(trace.bit(cycle, out)) {
             self.dirty[out as usize] = true;
@@ -621,7 +658,8 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
     /// given the fault-free `trace` of `test`, evaluates only the gates of
     /// the plan's cone union whose fanins deviate from the trace. Falls
     /// back to full evaluation when the plan carries no cone (non-stuck
-    /// batches or plans built with [`InjectionPlan::build`]).
+    /// batches, cones spanning every gate, or plans built with
+    /// [`InjectionPlan::build`]).
     ///
     /// Detection results are bit-identical to the full path in every live
     /// lane.
@@ -667,18 +705,12 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
         // the live mask. Dropped lanes' forces are masked to noops, so a
         // mostly-detected batch seeds (and evaluates) almost nothing.
         self.live_seeds.clear();
-        for &pos in &plan.force_gates {
-            let g = cone.gates[pos as usize] as usize;
-            let out = arena.gate_output(g);
-            let stem_live = !plan.stem[out as usize].masked(live).is_noop();
-            let branch_live = plan
-                .branch_range(g)
+        self.live_seeds.extend(
+            plan.force_gates
                 .iter()
-                .any(|&(_, _, f)| !f.masked(live).is_noop());
-            if stem_live || branch_live {
-                self.live_seeds.push(pos);
-            }
-        }
+                .filter(|&&(_, lanes)| !(lanes & live).is_zero())
+                .map(|&(pos, _)| pos),
+        );
         // Hybrid dispatch: on tiny cones (or barely-dropped batches) the
         // per-event heap traffic costs more than just scanning the cone
         // with a per-gate activity test, so fall back to the dense arm
@@ -972,32 +1004,32 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
             let out = arena.gate_output(g) as usize;
             let stem = plan.stem[out];
             let word = if tapped || branchy {
-                // Slow path: gather inputs through bridge taps, late
+                // Slow path: inputs read through bridge taps, late
                 // readings, and branch forces.
                 let branch = plan.branch_range(g);
-                self.inputs_scratch.clear();
-                for (pin, &input) in arena.fanins(g).iter().enumerate() {
-                    let mut v = if tapped {
-                        plan.read(input, &self.values, &self.late)
-                    } else {
-                        self.values[input as usize]
-                    };
-                    for &(_, bp, force) in branch {
-                        if bp as usize == pin {
-                            v = force.apply(v);
-                        }
-                    }
-                    self.inputs_scratch.push(v);
-                }
-                eval_gate_scratch(arena.kind(g), &self.inputs_scratch)
+                let (values, late) = (&self.values, &self.late);
+                eval_gate(
+                    arena.kind(g),
+                    arena.fanins(g).iter().enumerate().map(|(pin, &input)| {
+                        let v = if tapped {
+                            plan.read(input, values, late)
+                        } else {
+                            values[input as usize]
+                        };
+                        branch
+                            .iter()
+                            .filter(|b| b.1 as usize == pin)
+                            .fold(v, |v, b| b.2.apply(v))
+                    }),
+                )
             } else {
-                eval_gate_fanins(arena.kind(g), arena.fanins(g), &self.values)
+                let values = &self.values;
+                eval_gate(
+                    arena.kind(g),
+                    arena.fanins(g).iter().map(|&f| values[f as usize]),
+                )
             };
-            self.values[out] = if stem.is_noop() {
-                word
-            } else {
-                stem.apply(word)
-            };
+            self.values[out] = stem.apply(word);
         }
         self.gate_evals += arena.num_gates() as u64;
     }
@@ -1318,10 +1350,11 @@ mod tests {
         let mut full = FaultEngine::new(n);
         let mut event = FaultEngine::with_arena(n, Arc::clone(&arena));
         let mut evaluator = Evaluator::with_arena(n, Arc::clone(&arena));
+        let mut cones = Vec::new();
         for batch in stuck.chunks(64) {
             let faults: Vec<Fault> = batch.iter().copied().map(Fault::Stuck).collect();
             let plan = InjectionPlan::event_driven(n, &arena, &faults);
-            assert!(plan.cone().is_some());
+            cones.push(plan.cone().map(FaultCone::num_gates));
             for test in &tests {
                 let trace = evaluator.record_trace(test);
                 let ff = trace.response();
@@ -1335,6 +1368,10 @@ mod tests {
                 }
             }
         }
+        // The first batch's cone union spans all 15 gates, so its plan
+        // carries no cone and runs the full pass; the second batch's cone
+        // leaves gates out and runs event-driven.
+        assert_eq!(cones, vec![None, Some(12)]);
         // The whole point: the event-driven engine does less work.
         assert!(event.gate_evals() < full.gate_evals());
     }

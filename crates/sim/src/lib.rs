@@ -11,10 +11,11 @@
 //! - [`faults`]: the two fault universes of the paper — single stuck-at
 //!   faults on every line (stems and fanout branches) and non-feedback
 //!   AND/OR bridging faults between outputs of multi-input gates;
-//! - [`engine`]: a 64-way *fault-parallel* simulator (one fault per bit
-//!   lane) with faulty-state propagation across cycles and scan-out
-//!   comparison;
-//! - [`campaign`]: fault-dropping simulation of a whole test set, the
+//! - [`engine`]: a *fault-parallel* simulator (one fault per bit lane, 64
+//!   or 256 lanes) with faulty-state propagation across cycles and
+//!   scan-out comparison;
+//! - [`campaign`]: fault-dropping simulation of a whole test set on the
+//!   wide kernel (the narrow one is the differential oracle), the
 //!   decreasing-length *effective-test selection* of the paper, and
 //!   coverage reports;
 //! - [`exhaustive`]: exhaustive combinational test application, used to

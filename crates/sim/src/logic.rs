@@ -99,8 +99,12 @@ impl<'a> Evaluator<'a> {
         let arena = Arc::clone(&self.arena);
         for &g in arena.schedule() {
             let g = g as usize;
-            self.values[arena.gate_output(g) as usize] =
-                eval_gate_fanins(arena.kind(g), arena.fanins(g), &self.values);
+            let values = &self.values;
+            let word = eval_gate(
+                arena.kind(g),
+                arena.fanins(g).iter().map(|&f| values[f as usize]),
+            );
+            self.values[arena.gate_output(g) as usize] = word;
         }
     }
 
@@ -246,42 +250,17 @@ fn pack_lane(nets: &[NetId], values: &[u64], lane: usize) -> u64 {
     word
 }
 
-/// Evaluates one gate over `values`, gathering inputs by net id.
+/// Evaluates one gate over its input words, produced in pin order.
 #[inline]
-pub(crate) fn eval_gate_fanins<W: LaneWord>(kind: GateKind, fanins: &[NetId], values: &[W]) -> W {
+pub(crate) fn eval_gate<W: LaneWord>(kind: GateKind, mut inputs: impl Iterator<Item = W>) -> W {
     match kind {
-        GateKind::Not => !values[fanins[0] as usize],
-        GateKind::Buf => values[fanins[0] as usize],
-        GateKind::And => fanins
-            .iter()
-            .fold(W::ones(), |acc, &i| acc & values[i as usize]),
-        GateKind::Or => fanins
-            .iter()
-            .fold(W::zero(), |acc, &i| acc | values[i as usize]),
-        GateKind::Nand => !fanins
-            .iter()
-            .fold(W::ones(), |acc, &i| acc & values[i as usize]),
-        GateKind::Nor => !fanins
-            .iter()
-            .fold(W::zero(), |acc, &i| acc | values[i as usize]),
-        GateKind::Xor => fanins
-            .iter()
-            .fold(W::zero(), |acc, &i| acc ^ values[i as usize]),
-    }
-}
-
-/// Evaluates one gate over already-gathered input words (the slow-path
-/// variant used when inputs pass through bridge taps or branch forces).
-#[inline]
-pub(crate) fn eval_gate_scratch<W: LaneWord>(kind: GateKind, inputs: &[W]) -> W {
-    match kind {
-        GateKind::Not => !inputs[0],
-        GateKind::Buf => inputs[0],
-        GateKind::And => inputs.iter().fold(W::ones(), |acc, &w| acc & w),
-        GateKind::Or => inputs.iter().fold(W::zero(), |acc, &w| acc | w),
-        GateKind::Nand => !inputs.iter().fold(W::ones(), |acc, &w| acc & w),
-        GateKind::Nor => !inputs.iter().fold(W::zero(), |acc, &w| acc | w),
-        GateKind::Xor => inputs.iter().fold(W::zero(), |acc, &w| acc ^ w),
+        GateKind::Not => !inputs.next().expect("a NOT gate has one input"),
+        GateKind::Buf => inputs.next().expect("a BUF gate has one input"),
+        GateKind::And => inputs.fold(W::ones(), |acc, w| acc & w),
+        GateKind::Or => inputs.fold(W::zero(), |acc, w| acc | w),
+        GateKind::Nand => !inputs.fold(W::ones(), |acc, w| acc & w),
+        GateKind::Nor => !inputs.fold(W::zero(), |acc, w| acc | w),
+        GateKind::Xor => inputs.fold(W::zero(), |acc, w| acc ^ w),
     }
 }
 

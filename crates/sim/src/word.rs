@@ -224,9 +224,13 @@ impl LaneWord for W256 {
     #[inline]
     fn lane_bit(lane: usize) -> Self {
         assert!(lane < 256, "lane {lane} out of range");
-        let mut limbs = [0u64; 4];
-        limbs[lane / 64] = 1u64 << (lane % 64);
-        W256(limbs)
+        // Selected per limb rather than stored into one limb of an array,
+        // so the word stays in registers (a narrow store followed by wide
+        // loads of the same array stalls store forwarding).
+        let bit = 1u64 << (lane % 64);
+        W256(std::array::from_fn(
+            |i| if i == lane / 64 { bit } else { 0 },
+        ))
     }
 
     #[inline]

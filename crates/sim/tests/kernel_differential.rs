@@ -8,7 +8,8 @@
 //!
 //! 1. **detection sets** — `run_ordered_wide` equals `run_ordered_observing`
 //!    fault-for-fault, for the paper's functional (multi-cycle) test sets
-//!    and for randomly ordered test lists;
+//!    over the stuck-at, bridging and delay universes, and for randomly
+//!    ordered test lists;
 //! 2. **coverage reports** — detected counts, per-test new-detection
 //!    counts, and effectiveness tables agree;
 //! 3. **journal checkpoints** — supervised runs journal bit-identical
@@ -54,37 +55,61 @@ fn setup(name: &str) -> Setup {
     }
 }
 
+/// The fault universes `evaluate` and `simulate` send through the wide
+/// kernel. Bridging and delay batches get no cone, so they exercise the
+/// wide kernel's full-evaluation fallback.
+fn universes(s: &Setup) -> [(&'static str, Vec<Fault>); 3] {
+    let n = s.circuit.netlist();
+    [
+        ("stuck-at", s.faults.clone()),
+        (
+            "bridging",
+            faults::bridges_as_fault_list(&faults::enumerate_bridging(n, 3000).faults),
+        ),
+        (
+            "delay",
+            faults::delays_as_fault_list(&faults::enumerate_delay(n)),
+        ),
+    ]
+}
+
 #[test]
 fn wide_detection_sets_match_narrow_on_functional_tests() {
     for name in CIRCUITS {
         let s = setup(name);
         let order: Vec<usize> = (0..s.tests.len()).collect();
-        for observe in [true, false] {
-            let narrow = campaign::run_ordered_observing(
-                s.circuit.netlist(),
-                &s.tests,
-                &order,
-                &s.faults,
-                observe,
-            );
-            let wide = campaign::run_ordered_wide(
-                s.circuit.netlist(),
-                &s.tests,
-                &order,
-                &s.faults,
-                observe,
-            );
-            assert_eq!(
-                wide.detecting_test, narrow.detecting_test,
-                "{name} observe={observe}: wide kernel verdicts differ"
-            );
-            assert_eq!(wide.detected(), narrow.detected(), "{name}");
-            assert_eq!(wide.new_detections, narrow.new_detections, "{name}");
-            assert_eq!(
-                campaign::effectiveness_table(&s.tests, &wide),
-                campaign::effectiveness_table(&s.tests, &narrow),
-                "{name}"
-            );
+        for (universe, list) in universes(&s) {
+            assert!(!list.is_empty(), "{name}: empty {universe} universe");
+            for observe in [true, false] {
+                let narrow = campaign::run_ordered_observing(
+                    s.circuit.netlist(),
+                    &s.tests,
+                    &order,
+                    &list,
+                    observe,
+                );
+                let wide = campaign::run_ordered_wide(
+                    s.circuit.netlist(),
+                    &s.tests,
+                    &order,
+                    &list,
+                    observe,
+                );
+                assert_eq!(
+                    wide.detecting_test, narrow.detecting_test,
+                    "{name} {universe} observe={observe}: wide kernel verdicts differ"
+                );
+                assert_eq!(wide.detected(), narrow.detected(), "{name} {universe}");
+                assert_eq!(
+                    wide.new_detections, narrow.new_detections,
+                    "{name} {universe}"
+                );
+                assert_eq!(
+                    campaign::effectiveness_table(&s.tests, &wide),
+                    campaign::effectiveness_table(&s.tests, &narrow),
+                    "{name} {universe}"
+                );
+            }
         }
     }
 }
@@ -248,7 +273,8 @@ fn checkpoints_resume_across_kernels_in_both_directions() {
         if s.faults.len() <= 64 {
             continue; // needs at least two journal units to leave a gap
         }
-        let golden = campaign::run_ordered(s.circuit.netlist(), &s.tests, &order, &s.faults);
+        let golden =
+            campaign::run_ordered_observing(s.circuit.netlist(), &s.tests, &order, &s.faults, true);
         for (first, second) in [
             (Kernel::Narrow, Kernel::Wide),
             (Kernel::Wide, Kernel::Narrow),

@@ -6,6 +6,8 @@
 #![allow(clippy::unwrap_used)]
 use scanft_fsm::benchmarks::random_machine;
 use scanft_fsm::rng::SplitMix64;
+use scanft_netlist::Netlist;
+use scanft_sim::campaign::{Kernel, SupervisedConfig};
 use scanft_sim::engine::{FaultEngine, InjectionPlan};
 use scanft_sim::faults::{self, Fault};
 use scanft_sim::{campaign, logic, ScanTest};
@@ -68,6 +70,13 @@ fn netlist_sequences_match_table() {
     }
 }
 
+/// One fault alone on the narrow oracle: the reference the batched
+/// (wide-kernel) campaigns below are held to.
+fn narrow_single(n: &Netlist, tests: &[ScanTest], fault: &Fault) -> campaign::CampaignReport {
+    let order: Vec<usize> = (0..tests.len()).collect();
+    campaign::run_ordered_observing(n, tests, &order, std::slice::from_ref(fault), true)
+}
+
 /// Batched fault-parallel detection equals single-fault detection for every
 /// stuck-at fault (same tests, same verdicts).
 #[test]
@@ -83,7 +92,7 @@ fn batching_is_transparent_stuck() {
         let tests = random_tests(&mut rng, &table, &circuit, 4, 4);
         let batched = campaign::run(n, &tests, &list);
         for (f, fault) in list.iter().enumerate() {
-            let single = campaign::run(n, &tests, std::slice::from_ref(fault));
+            let single = narrow_single(n, &tests, fault);
             assert_eq!(
                 batched.detecting_test[f],
                 single.detecting_test[0],
@@ -111,7 +120,7 @@ fn batching_is_transparent_bridging() {
         let tests = random_tests(&mut rng, &table, &circuit, 4, 4);
         let batched = campaign::run(n, &tests, &list);
         for (f, fault) in list.iter().enumerate() {
-            let single = campaign::run(n, &tests, std::slice::from_ref(fault));
+            let single = narrow_single(n, &tests, fault);
             assert_eq!(
                 batched.detecting_test[f],
                 single.detecting_test[0],
@@ -139,7 +148,7 @@ fn batching_is_transparent_delay() {
         let tests = random_tests(&mut rng, &table, &circuit, 4, 5);
         let batched = campaign::run(n, &tests, &list);
         for (f, fault) in list.iter().enumerate().step_by(3) {
-            let single = campaign::run(n, &tests, std::slice::from_ref(fault));
+            let single = narrow_single(n, &tests, fault);
             assert_eq!(
                 batched.detecting_test[f],
                 single.detecting_test[0],
@@ -278,9 +287,10 @@ fn detection_mask_is_confined() {
     }
 }
 
-/// `run_parallel` is bit-identical to `run_ordered_observing` across
-/// benchmark circuits, random fault subsets, both observation modes, and
-/// thread counts {1, 2, 3, 8} — on benchmarks other than `lion`.
+/// Supervised runs on either kernel are bit-identical to
+/// `run_ordered_observing` across benchmark circuits, random fault subsets,
+/// both observation modes, and thread counts {1, 2, 3, 8} — on benchmarks
+/// other than `lion`.
 #[test]
 fn parallel_matches_sequential_on_benchmarks() {
     let mut rng = SplitMix64::new(0x51_0008);
@@ -305,15 +315,25 @@ fn parallel_matches_sequential_on_benchmarks() {
             for observe in [true, false] {
                 let sequential =
                     campaign::run_ordered_observing(n, &tests, &order, &subset, observe);
-                for threads in [1usize, 2, 3, 8] {
-                    let parallel =
-                        campaign::run_parallel(n, &tests, &order, &subset, observe, threads);
+                for (kernel, threads) in [Kernel::Narrow, Kernel::Wide]
+                    .into_iter()
+                    .flat_map(|k| [1usize, 2, 3, 8].map(|t| (k, t)))
+                {
+                    let config = SupervisedConfig {
+                        num_threads: threads,
+                        observe_scan_out: observe,
+                        kernel,
+                        ..SupervisedConfig::default()
+                    };
+                    let parallel = campaign::run_supervised(
+                        n, &tests, &order, &subset, &config, None, None, None,
+                    )
+                    .expect("no journal involved")
+                    .report;
                     assert_eq!(
-                        parallel.detecting_test, sequential.detecting_test,
-                        "{name}: round {round}, observe {observe}, {threads} threads"
+                        parallel, sequential,
+                        "{name}: round {round}, observe {observe}, {kernel:?} x{threads}"
                     );
-                    assert_eq!(parallel.new_detections, sequential.new_detections);
-                    assert_eq!(parallel.order, sequential.order);
                 }
             }
         }
