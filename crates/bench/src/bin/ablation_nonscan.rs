@@ -67,7 +67,7 @@ fn main() {
             .map(|seq| ScanTest::new(circuit.encode_state(0), seq.clone()))
             .collect();
         let order: Vec<usize> = (0..nonscan_gate_tests.len()).collect();
-        let gate_nonscan = campaign::run_ordered_observing(
+        let gate_nonscan = campaign::run_ordered_wide(
             circuit.netlist(),
             &nonscan_gate_tests,
             &order,

@@ -82,7 +82,8 @@ fn drill(
 ) -> Result<(), String> {
     scanft_harness::silence_chaos_panics();
     let s = setup(circuit);
-    let golden = campaign::run_ordered(s.circuit.netlist(), &s.tests, &s.order, &s.faults);
+    let golden =
+        campaign::run_ordered_wide(s.circuit.netlist(), &s.tests, &s.order, &s.faults, true);
     println!(
         "[{circuit}] golden: {} faults, {} detected ({:.2}%)",
         golden.num_faults(),

@@ -415,8 +415,10 @@ fn simulate_supervised(
         ..SupervisedConfig::default()
     };
 
+    // Resume repairs a crash-torn tail down to its intact prefix first, so
+    // the first appended record starts on a fresh line.
     let prior = match (&journal_path, resume) {
-        (Some(path), true) => Some(scanft_harness::read_journal_file(path)?),
+        (Some(path), true) => Some(scanft_harness::repair_journal(path)?),
         _ => None,
     };
     let writer = match &journal_path {

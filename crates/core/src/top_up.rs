@@ -364,9 +364,7 @@ pub fn top_up_scan_with(
                     .collect();
                 let pending_faults: Vec<scanft_sim::faults::Fault> =
                     pending.iter().map(|&k| fault_list[k]).collect();
-                // One length-1 pattern does not pay back the wide kernel's
-                // per-batch cone build, so this stays on the narrow kernel.
-                let report = campaign::run_ordered_observing(
+                let report = campaign::run_ordered_wide(
                     netlist,
                     std::slice::from_ref(&test),
                     &[0],

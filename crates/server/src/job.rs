@@ -369,31 +369,11 @@ impl JobRegistry {
             .count()
     }
 
-    /// Admits a job: assigns the next id, registers it, and enqueues it.
-    /// The caller has already enforced quotas and parsed the submission.
-    ///
-    /// This is the unguarded path (tests and internal tools): no
-    /// idempotency, no queue bound, no drain refusal, no WAL admit record.
-    /// `POST /jobs` goes through [`JobRegistry::admit_guarded`].
-    pub fn admit(&self, build: impl FnOnce(String) -> Job) -> Arc<Job> {
-        let mut inner = self.inner.lock();
-        inner.next_id += 1;
-        let id = format!("job-{}", inner.next_id);
-        let job = Arc::new(build(id.clone()));
-        inner.jobs.insert(id, Arc::clone(&job));
-        inner.queue.push_back(Arc::clone(&job));
-        scanft_obs::global().gauge("server.queue.depth").add(1);
-        drop(inner);
-        // notify_all, not notify_one: the condvar is shared with
-        // `wait_drain_requested`, and a single wakeup could land on a
-        // drain waiter instead of a claimer (lost-wakeup hazard).
-        self.wakeup.notify_all();
-        job
-    }
-
-    /// The `POST /jobs` admission path: drain refusal, queue-depth bound,
-    /// idempotent dedup, WAL logging — all under one registry lock so a
-    /// concurrent duplicate cannot slip between the check and the insert.
+    /// Admits a job — the `POST /jobs` path: drain refusal, queue-depth
+    /// bound, idempotent dedup, WAL logging — all under one registry lock
+    /// so a concurrent duplicate cannot slip between the check and the
+    /// insert. The caller has already enforced quotas and parsed the
+    /// submission.
     ///
     /// `build` constructs the job (given its assigned id) plus the
     /// canonical submission text `(kiss, tests)` recorded in the WAL admit
@@ -460,6 +440,9 @@ impl JobRegistry {
         inner.queue.push_back(Arc::clone(&job));
         scanft_obs::global().gauge("server.queue.depth").add(1);
         drop(inner);
+        // notify_all, not notify_one: the condvar is shared with
+        // `wait_drain_requested`, and a single wakeup could land on a
+        // drain waiter instead of a claimer (lost-wakeup hazard).
         self.wakeup.notify_all();
         Ok(AdmitOutcome::Fresh(job))
     }
@@ -609,10 +592,24 @@ mod tests {
         )
     }
 
+    /// Admits a job for `tenant` under its own non-sticky key, with no
+    /// queue bound in reach.
+    fn admit(registry: &JobRegistry, key: &str, tenant: &str) -> Arc<Job> {
+        match registry
+            .admit_guarded(key, false, usize::MAX, |id| {
+                (job(id, tenant), ".i 1\n".to_owned(), None)
+            })
+            .unwrap()
+        {
+            AdmitOutcome::Fresh(job) => job,
+            other => panic!("a fresh key must admit a fresh job, got {other:?}"),
+        }
+    }
+
     #[test]
     fn admit_claim_complete_round_trip() {
         let registry = JobRegistry::new();
-        let admitted = registry.admit(|id| job(id, "t1"));
+        let admitted = admit(&registry, "k1", "t1");
         assert_eq!(admitted.id, "job-1");
         assert_eq!(admitted.status(), JobStatus::Queued);
         assert_eq!(registry.active_for("t1"), 1);
@@ -637,8 +634,8 @@ mod tests {
     #[test]
     fn cancelled_while_queued_is_skipped_by_claim() {
         let registry = JobRegistry::new();
-        let first = registry.admit(|id| job(id, "t"));
-        let second = registry.admit(|id| job(id, "t"));
+        let first = admit(&registry, "k1", "t");
+        let second = admit(&registry, "k2", "t");
         first.cancel.cancel();
         let claimed = registry.claim().unwrap();
         assert_eq!(claimed.id, second.id);
@@ -648,7 +645,7 @@ mod tests {
     #[test]
     fn terminal_states_are_sticky() {
         let registry = JobRegistry::new();
-        let job = registry.admit(|id| job(id, "t"));
+        let job = admit(&registry, "k1", "t");
         job.set_status(JobStatus::Cancelled);
         job.set_status(JobStatus::Completed {
             coverage: 1.0,
@@ -787,24 +784,27 @@ mod tests {
             AdmitOutcome::Deduped(j) if j.id == "job-7"
         ));
         // Fresh ids start above the restored ordinal.
-        let fresh = registry.admit(|id| job(id, "t"));
+        let fresh = admit(&registry, "k8", "t");
         assert_eq!(fresh.id, "job-8");
     }
 
     /// Satellite regression for the old `expect("registry poisoned")`:
-    /// a panic inside `admit`'s build closure unwinds while the registry
-    /// lock is held. With the non-poisoning facade mutex the registry
-    /// stays usable; before the fix every later call died on poisoning.
+    /// a panic inside `admit_guarded`'s build closure unwinds while the
+    /// registry lock is held. With the non-poisoning facade mutex the
+    /// registry stays usable; before the fix every later call died on
+    /// poisoning.
     #[test]
     fn registry_survives_a_panicking_admit_closure() {
         let registry = JobRegistry::new();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            registry.admit(|_| panic!("submission validation bug"));
+            let _ = registry.admit_guarded("k1", false, usize::MAX, |_| {
+                panic!("submission validation bug")
+            });
         }));
         assert!(result.is_err(), "the panic propagates to the submitter");
 
         // The registry is not wedged: admission and claim still work.
-        let admitted = registry.admit(|id| job(id, "t"));
+        let admitted = admit(&registry, "k2", "t");
         assert_eq!(admitted.status(), JobStatus::Queued);
         let claimed = registry.claim().unwrap();
         assert_eq!(claimed.id, admitted.id);

@@ -4,13 +4,14 @@
 //! virtual scheduler (the `model` dev-feature), so submit/claim,
 //! cancel-vs-claim, and shutdown wakeup are checked across the whole
 //! bounded schedule space instead of whatever interleaving the OS happens
-//! to produce.
+//! to produce. Jobs enter through `admit_guarded`, the admission path
+//! `POST /jobs` runs, each under its own non-sticky idempotency key.
 #![allow(clippy::unwrap_used)]
 
 use scanft_race::model::{self, ModelConfig};
 use scanft_race::sync::Arc;
 use scanft_race::thread;
-use scanft_server::{ContentKey, Job, JobKind, JobRegistry, JobSpec, JobStatus};
+use scanft_server::{AdmitOutcome, ContentKey, Job, JobKind, JobRegistry, JobSpec, JobStatus};
 
 fn cfg() -> ModelConfig {
     ModelConfig {
@@ -36,13 +37,28 @@ fn job(id: String) -> Job {
     )
 }
 
+/// Queue bound for the model admissions; never reached by one job.
+const MAX_QUEUE: usize = 8;
+
+/// Admits one job under the non-sticky idempotency key `key`, as the
+/// `POST /jobs` handler does.
+fn admit(registry: &JobRegistry, key: &str) -> Arc<Job> {
+    match registry
+        .admit_guarded(key, false, MAX_QUEUE, |id| (job(id), String::new(), None))
+        .unwrap()
+    {
+        AdmitOutcome::Fresh(job) => job,
+        other => panic!("a fresh key must admit a fresh job, got {other:?}"),
+    }
+}
+
 #[test]
 fn submit_claim_race_hands_out_each_job_exactly_once() {
     let report = model::check_named("registry-submit-claim", &cfg(), || {
         let registry = Arc::new(JobRegistry::new());
         let submitter = {
             let registry = Arc::clone(&registry);
-            thread::spawn(move || registry.admit(job).id.clone())
+            thread::spawn(move || admit(&registry, "submit-1").id.clone())
         };
         let claimer = {
             let registry = Arc::clone(&registry);
@@ -74,7 +90,7 @@ fn cancel_vs_claim_never_runs_a_cancelled_job_twice() {
     // and the claimer never returns a job whose cancel it already saw.
     let report = model::check_named("registry-cancel-claim", &cfg(), || {
         let registry = Arc::new(JobRegistry::new());
-        let admitted = registry.admit(job);
+        let admitted = admit(&registry, "cancel-1");
         let canceller = {
             let cancel = admitted.cancel.clone();
             thread::spawn(move || cancel.cancel())
@@ -117,7 +133,7 @@ fn drain_vs_claim_vs_late_cancel_never_loses_or_doubles_a_job() {
     // claim can succeed.
     let report = model::check_named("registry-drain-claim-cancel", &cfg(), || {
         let registry = Arc::new(JobRegistry::new());
-        let admitted = registry.admit(job);
+        let admitted = admit(&registry, "drain-1");
         let claimers: Vec<_> = (0..2)
             .map(|_| {
                 let registry = Arc::clone(&registry);

@@ -15,7 +15,7 @@ use std::collections::HashSet;
 use scanft_fsm::rng::SplitMix64;
 use scanft_race::sync::{Arc, AtomicBool, Mutex, Ordering};
 use scanft_race::thread;
-use scanft_server::{ContentKey, Job, JobKind, JobRegistry, JobSpec, JobStatus};
+use scanft_server::{AdmitOutcome, ContentKey, Job, JobKind, JobRegistry, JobSpec, JobStatus};
 
 fn job(id: String, tenant: &str) -> Job {
     let table = scanft_fsm::benchmarks::build("lion").unwrap();
@@ -51,9 +51,19 @@ fn seeded_submit_claim_cancel_storm_preserves_invariants() {
             let submitted = Arc::clone(&submitted);
             s.spawn(move || {
                 let mut rng = SplitMix64::new(SEED ^ ((submitter as u64) << 8));
-                for _ in 0..JOBS_PER_SUBMITTER {
+                for n in 0..JOBS_PER_SUBMITTER {
                     let tenant = format!("t{}", rng.next_u64() % 2);
-                    let admitted = registry.admit(|id| job(id, &tenant));
+                    // The `POST /jobs` admission path, one fresh
+                    // non-sticky key per job and no queue bound in reach.
+                    let key = format!("s{submitter}-{n}");
+                    let outcome = registry
+                        .admit_guarded(&key, false, usize::MAX, |id| {
+                            (job(id, &tenant), String::new(), None)
+                        })
+                        .unwrap();
+                    let AdmitOutcome::Fresh(admitted) = outcome else {
+                        panic!("a fresh key must admit a fresh job, got {outcome:?}")
+                    };
                     // Roughly a third of submissions are cancelled while
                     // (possibly still) queued — the canceller role.
                     if rng.next_u64().is_multiple_of(3) {

@@ -161,7 +161,7 @@ impl CampaignReport {
 #[must_use]
 pub fn run(netlist: &Netlist, tests: &[ScanTest], faults: &[Fault]) -> CampaignReport {
     let order: Vec<usize> = (0..tests.len()).collect();
-    run_ordered(netlist, tests, &order, faults)
+    run_ordered_wide(netlist, tests, &order, faults, true)
 }
 
 /// Simulates tests in the paper's effective-test order: decreasing length,
@@ -172,7 +172,8 @@ pub fn run_decreasing_length(
     tests: &[ScanTest],
     faults: &[Fault],
 ) -> CampaignReport {
-    run_ordered(netlist, tests, &decreasing_length_order(tests), faults)
+    let order = decreasing_length_order(tests);
+    run_ordered_wide(netlist, tests, &order, faults, true)
 }
 
 /// The paper's decreasing-length application order: longest test first,
@@ -185,26 +186,8 @@ pub fn decreasing_length_order(tests: &[ScanTest]) -> Vec<usize> {
     order
 }
 
-/// Simulates tests in an explicit order (indices into `tests`) with fault
-/// dropping, on the wide kernel.
-///
-/// # Panics
-///
-/// Panics if `order` references a test out of range.
-#[must_use]
-pub fn run_ordered(
-    netlist: &Netlist,
-    tests: &[ScanTest],
-    order: &[usize],
-    faults: &[Fault],
-) -> CampaignReport {
-    run_ordered_wide(netlist, tests, order, faults, true)
-}
-
-/// The narrow-kernel oracle: [`run_ordered`] on 64-fault batches with full
-/// re-simulation, and with the scan-out observation made optional —
-/// `observe_scan_out = false` models non-scan test application where faults
-/// are visible only at the primary outputs.
+/// The narrow-kernel oracle: [`run_ordered_wide`] on 64-fault batches with
+/// full re-simulation.
 ///
 /// # Panics
 ///
@@ -220,11 +203,16 @@ pub fn run_ordered_observing(
     run_sequential::<u64>(netlist, tests, order, faults, observe_scan_out)
 }
 
-/// Sequential campaign on the **wide kernel**: 256-fault batches evaluated
-/// event-driven against precomputed fault-free traces (PPSFP). Produces a
-/// report bit-identical to [`run_ordered_observing`] — the per-lane
-/// simulations are independent, so batch width and cone restriction cannot
-/// change any verdict — at a fraction of the gate evaluations.
+/// Simulates tests in an explicit order (indices into `tests`) with fault
+/// dropping, on the **wide kernel**: 256-fault batches evaluated
+/// event-driven against precomputed fault-free traces (PPSFP).
+/// `observe_scan_out = false` models non-scan test application, where
+/// faults are visible only at the primary outputs.
+///
+/// Produces a report bit-identical to [`run_ordered_observing`] — the
+/// per-lane simulations are independent, so batch width and cone
+/// restriction cannot change any verdict — at a fraction of the gate
+/// evaluations.
 ///
 /// # Panics
 ///
@@ -722,7 +710,7 @@ mod tests {
         let list = faults::as_fault_list(&stuck);
         let forward = run(c.netlist(), &tests, &list);
         let reversed_order: Vec<usize> = (0..tests.len()).rev().collect();
-        let backward = run_ordered(c.netlist(), &tests, &reversed_order, &list);
+        let backward = run_ordered_wide(c.netlist(), &tests, &reversed_order, &list, true);
         assert_eq!(forward.detected(), backward.detected());
     }
 

@@ -34,8 +34,9 @@
 //! computes the union of the batch's [`FaultCone`]s and
 //! [`FaultEngine::run_test_event_driven`] evaluates **only** the gates in
 //! that union, reading every other net's value from a precomputed
-//! fault-free [`GoodTrace`]. Within the cone a dirty-net worklist skips
-//! gates none of whose fanins deviate from the trace, so unperturbed (or
+//! fault-free [`GoodTrace`]. Within the cone a worklist — one bit per cone
+//! position, drained lowest position first — runs only the gates that carry
+//! a live force or read a net deviating from the trace, so unperturbed (or
 //! already-detected) lanes cost nothing. Soundness: a net outside the cone
 //! union provably carries the fault-free value in every lane (the cone is
 //! closed under structural fanout *and* the scan boundary), and a cone
@@ -156,8 +157,8 @@ pub struct InjectionPlan<W: LaneWord = u64> {
     /// path must reload per cycle.
     forced_pis: Vec<u32>,
     /// Per-gate position inside `cone.gates` (`u32::MAX` for gates outside
-    /// the cone); only populated alongside `cone`. The worklist orders
-    /// events by this position, which is topological.
+    /// the cone); only populated alongside `cone`. The worklist is indexed
+    /// by this position, which is topological.
     cone_pos: Vec<u32>,
     /// Cone positions of gates carrying a stem or branch force, each with
     /// the union of the lanes its forces touch — the worklist seeds,
@@ -435,6 +436,12 @@ fn current_word<W: LaneWord>(
     }
 }
 
+/// Sets bit `pos` of a bitset stored as `u64` words.
+#[inline]
+fn set_bit(words: &mut [u64], pos: usize) {
+    words[pos / 64] |= 1 << (pos % 64);
+}
+
 /// Builds CSR offsets (`buckets + 1` entries) for `keys`, each `< buckets`:
 /// entry `k` counts the keys below `k`.
 fn csr_offsets(buckets: usize, keys: impl Iterator<Item = u32>) -> Vec<u32> {
@@ -465,20 +472,17 @@ pub struct FaultEngine<'a, W: LaneWord = u64> {
     delay_prev: Vec<W>,
     /// Per-PPI captured-state scratch, reused across runs.
     state_words: Vec<W>,
-    /// Event-driven worklist state: per-net "deviates from the good trace"
-    /// flags and the list of nets marked this cycle.
+    /// Event-driven state: per-net "deviates from the good trace" flags
+    /// and the list of nets marked this cycle.
     dirty: Vec<bool>,
     touched: Vec<NetId>,
-    /// Per-cone-position "queued for evaluation" flags deduplicating heap
-    /// pushes; all false between cycles.
-    pending: Vec<bool>,
-    /// Min-heap of queued cone positions — pops in topological order, so
-    /// every gate is evaluated at most once per cycle after all its fanin
-    /// events have landed.
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<u32>>,
-    /// Per-run worklist seeds: cone positions of gates whose forces
-    /// survive the live-lane mask.
-    live_seeds: Vec<u32>,
+    /// The worklist: one bit per cone position, queued for evaluation this
+    /// cycle. All zero after every drain.
+    work: Vec<u64>,
+    /// Per-run worklist seeds, as bits over cone positions: the gates
+    /// whose forces survive the live-lane mask. Copied into `work` at the
+    /// start of every cycle.
+    seeds: Vec<u64>,
     /// Gate evaluations performed since construction (or the last
     /// [`FaultEngine::take_gate_evals`]) — the kernel's work metric.
     gate_evals: u64,
@@ -510,9 +514,8 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
             state_words: Vec::new(),
             dirty: Vec::new(),
             touched: Vec::new(),
-            pending: Vec::new(),
-            heap: std::collections::BinaryHeap::new(),
-            live_seeds: Vec::new(),
+            work: Vec::new(),
+            seeds: Vec::new(),
             gate_evals: 0,
         }
     }
@@ -588,26 +591,30 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
         )
     }
 
-    /// Queues the in-cone fanout gates of a net that just deviated from
-    /// the fault-free trace. `pending` deduplicates; the heap orders pops
-    /// topologically (cone positions ascend along every fanout edge).
+    /// Stores `word` as the value of `net`; if it deviates from the
+    /// fault-free value `good`, marks the net dirty and queues its in-cone
+    /// fanout gates.
     #[inline]
-    fn enqueue_fanouts(&mut self, arena: &GateArena, plan: &InjectionPlan<W>, net: NetId) {
+    fn settle(&mut self, arena: &GateArena, plan: &InjectionPlan<W>, net: NetId, word: W, good: W) {
+        self.values[net as usize] = word;
+        if word == good {
+            return;
+        }
+        self.dirty[net as usize] = true;
+        self.touched.push(net);
         for &g in arena.fanouts(net) {
             let pos = plan.cone_pos[g as usize];
-            if pos != u32::MAX && !self.pending[pos as usize] {
-                self.pending[pos as usize] = true;
-                self.heap.push(std::cmp::Reverse(pos));
+            if pos != u32::MAX {
+                set_bit(&mut self.work, pos as usize);
             }
         }
     }
 
     /// Evaluates one cone gate against the good trace: clean fanins read
     /// through from the trace, branch and stem forces applied under the
-    /// live mask; a deviating output is marked dirty and — on the
-    /// worklist arm — its in-cone fanouts queued.
+    /// live mask; a deviating output is marked dirty and its in-cone
+    /// fanouts queued.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
     fn eval_cone_gate(
         &mut self,
         arena: &GateArena,
@@ -616,7 +623,6 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
         cycle: usize,
         g: usize,
         live: W,
-        enqueue: bool,
     ) {
         let out = arena.gate_output(g);
         let fanins = arena.fanins(g);
@@ -644,14 +650,7 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
             )
         };
         let word = plan.stem[out as usize].masked(live).apply(word);
-        self.values[out as usize] = word;
-        if word != W::splat_bit(trace.bit(cycle, out)) {
-            self.dirty[out as usize] = true;
-            self.touched.push(out);
-            if enqueue {
-                self.enqueue_fanouts(arena, plan, out);
-            }
-        }
+        self.settle(arena, plan, out, word, W::splat_bit(trace.bit(cycle, out)));
     }
 
     /// Event-driven PPSFP variant of [`FaultEngine::run_test_observing`]:
@@ -695,93 +694,64 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
         if self.dirty.len() != arena.num_nets() {
             self.dirty = vec![false; arena.num_nets()];
         }
-        if self.pending.len() != cone.gates.len() {
-            self.pending = vec![false; cone.gates.len()];
-        }
         debug_assert!(self.touched.is_empty());
-        debug_assert!(self.heap.is_empty());
 
         // Worklist seeds for this run: forced gates whose forces survive
         // the live mask. Dropped lanes' forces are masked to noops, so a
         // mostly-detected batch seeds (and evaluates) almost nothing.
-        self.live_seeds.clear();
-        self.live_seeds.extend(
-            plan.force_gates
-                .iter()
-                .filter(|&&(_, lanes)| !(lanes & live).is_zero())
-                .map(|&(pos, _)| pos),
-        );
-        // Hybrid dispatch: on tiny cones (or barely-dropped batches) the
-        // per-event heap traffic costs more than just scanning the cone
-        // with a per-gate activity test, so fall back to the dense arm
-        // when the seed count is a sizeable fraction of the cone.
-        let use_scan = self.live_seeds.len() * 8 >= cone.gates.len();
+        let words = cone.gates.len().div_ceil(64);
+        self.seeds.clear();
+        self.seeds.resize(words, 0);
+        for &(pos, lanes) in &plan.force_gates {
+            if !(lanes & live).is_zero() {
+                set_bit(&mut self.seeds, pos as usize);
+            }
+        }
+        self.work.resize(words, 0);
 
         let mut state_words = std::mem::take(&mut self.state_words);
         state_words.clear();
         state_words.extend((0..num_ppis).map(|k| W::splat_bit(test.init_code >> k & 1 == 1)));
 
         for (cycle, &input) in test.inputs.iter().enumerate() {
+            self.work.copy_from_slice(&self.seeds);
             // Forced PIs: the only primary inputs that can deviate.
             for &k in &plan.forced_pis {
                 let net = netlist.pi(k as usize);
                 let good = W::splat_bit(input >> k & 1 == 1);
                 let word = plan.stem[net as usize].masked(live).apply(good);
-                self.values[net as usize] = word;
-                if word != good {
-                    self.dirty[net as usize] = true;
-                    self.touched.push(net);
-                    if !use_scan {
-                        self.enqueue_fanouts(&arena, plan, net);
-                    }
-                }
+                self.settle(&arena, plan, net, word, good);
             }
             // PPIs: reload the captured faulty state every cycle.
             for (k, &word) in state_words.iter().enumerate() {
                 let net = netlist.ppi(k);
-                let good = W::splat_bit(trace.bit(cycle, net));
                 let word = plan.stem[net as usize].masked(live).apply(word);
-                self.values[net as usize] = word;
-                if word != good {
-                    self.dirty[net as usize] = true;
-                    self.touched.push(net);
-                    if !use_scan {
-                        self.enqueue_fanouts(&arena, plan, net);
-                    }
+                self.settle(&arena, plan, net, word, W::splat_bit(trace.bit(cycle, net)));
+            }
+            // Drain the worklist lowest position first: every queued gate
+            // carries a live force or has a fanin that deviates. Cone
+            // positions follow `cone.gates`, which is topological, so a
+            // gate queues its fanouts only at positions above its own. A
+            // forward sweep that re-reads the current word after each
+            // evaluation therefore sees every event, and runs each gate
+            // once per cycle, after all of its fanin events.
+            for w in 0..words {
+                while self.work[w] != 0 {
+                    let bit = self.work[w].trailing_zeros() as usize;
+                    self.work[w] &= self.work[w] - 1;
+                    let g = cone.gates[w * 64 + bit] as usize;
+                    self.eval_cone_gate(&arena, plan, trace, cycle, g, live);
+                    debug_assert_eq!(
+                        self.work[w] & (u64::MAX >> (63 - bit)),
+                        0,
+                        "a gate queued a fanout at or below its own cone position"
+                    );
                 }
             }
-            if use_scan {
-                // Dense arm: one pass over the (small) cone with a cheap
-                // activity test, merging the sorted live-seed positions.
-                let mut next_seed = 0usize;
-                for (pos, &g) in cone.gates.iter().enumerate() {
-                    let g = g as usize;
-                    let forced = next_seed < self.live_seeds.len()
-                        && self.live_seeds[next_seed] as usize == pos;
-                    if forced {
-                        next_seed += 1;
-                    }
-                    let active = forced || arena.fanins(g).iter().any(|&f| self.dirty[f as usize]);
-                    if active {
-                        self.eval_cone_gate(&arena, plan, trace, cycle, g, live, false);
-                    }
-                }
-            } else {
-                for &pos in &self.live_seeds {
-                    if !self.pending[pos as usize] {
-                        self.pending[pos as usize] = true;
-                        self.heap.push(std::cmp::Reverse(pos));
-                    }
-                }
-                // Drain the worklist in topological order: every popped
-                // gate either carries a live force or has a fanin that
-                // deviates.
-                while let Some(std::cmp::Reverse(pos)) = self.heap.pop() {
-                    self.pending[pos as usize] = false;
-                    let g = cone.gates[pos as usize] as usize;
-                    self.eval_cone_gate(&arena, plan, trace, cycle, g, live, true);
-                }
-            }
+            debug_assert!(
+                self.work.iter().all(|&w| w == 0),
+                "a gate queued a fanout behind the sweep"
+            );
 
             // Observe POs: only dirty nets can deviate from the reference.
             let ff_out = trace.outputs()[cycle];
@@ -792,15 +762,10 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
                 }
             }
             // Capture next state per lane (good values read through).
-            for (k, slot) in state_words.iter_mut().enumerate() {
-                let net = netlist.ppos()[k];
-                *slot = if self.dirty[net as usize] {
-                    self.values[net as usize]
-                } else {
-                    W::splat_bit(trace.bit(cycle, net))
-                };
+            for (slot, &net) in state_words.iter_mut().zip(netlist.ppos()) {
+                *slot = current_word(&self.dirty, &self.values, trace, cycle, net);
             }
-            // Drain the worklist so the next cycle starts clean.
+            // Clear the dirty flags so the next cycle starts clean.
             for net in self.touched.drain(..) {
                 self.dirty[net as usize] = false;
             }
@@ -974,25 +939,6 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
                 .iter()
                 .map(|&net| plan.read(net, &self.values, &self.late)),
         );
-    }
-
-    /// Allocating convenience wrapper around
-    /// [`FaultEngine::eval_single_cycle_patterns_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the word slices do not match the netlist's PI/PPI counts.
-    #[must_use]
-    pub fn eval_single_cycle_patterns(
-        &mut self,
-        pi_words: &[W],
-        ppi_words: &[W],
-        plan: &InjectionPlan<W>,
-    ) -> (Vec<W>, Vec<W>) {
-        let mut pos = Vec::new();
-        let mut ppos = Vec::new();
-        self.eval_single_cycle_patterns_into(pi_words, ppi_words, plan, &mut pos, &mut ppos);
-        (pos, ppos)
     }
 
     fn eval_pass(&mut self, plan: &InjectionPlan<W>) {
@@ -1528,5 +1474,51 @@ mod tests {
             257
         ];
         let _ = InjectionPlan::<W256>::build(n, &faults);
+    }
+
+    #[test]
+    fn event_driven_work_on_ex3_is_pinned() {
+        // The worklist runs exactly the gates that carry a live force or
+        // read a deviating net, so its gate count is a fixed property of
+        // the circuit, the faults and the tests. Pinned on ex3's wide
+        // stuck-at batches over its generated tests, with fault dropping
+        // in the paper's decreasing-length order; some batch's cone spans
+        // more than one 64-position worklist word.
+        let table = scanft_fsm::benchmarks::build("ex3").unwrap();
+        let c = synthesize(&table, &SynthConfig::default());
+        let n = c.netlist();
+        let uios = scanft_fsm::uio::derive_uios(&table, table.num_state_vars());
+        let set = scanft_core::generate::generate(
+            &table,
+            &uios,
+            &scanft_core::generate::GenConfig::default(),
+        );
+        // Rebuilt from the generated tests: `scanft_core` links its own
+        // build of this crate, whose `ScanTest` is a different type here.
+        let tests: Vec<ScanTest> = set
+            .tests
+            .iter()
+            .map(|t| ScanTest::new(c.encode_state(t.initial_state), t.inputs.clone()))
+            .collect();
+        let arena = Arc::new(GateArena::build(n));
+        let mut evaluator = Evaluator::with_arena(n, Arc::clone(&arena));
+        let traces: Vec<GoodTrace> = tests.iter().map(|t| evaluator.record_trace(t)).collect();
+        let faults = crate::faults::as_fault_list(&crate::faults::enumerate_stuck(n));
+        let mut engine = FaultEngine::<W256>::with_arena(n, Arc::clone(&arena));
+        let mut widest = 0;
+        for batch in faults.chunks(256) {
+            let plan = InjectionPlan::event_driven(n, &arena, batch);
+            widest = widest.max(plan.cone().map_or(0, FaultCone::num_gates));
+            let mut detected = W256::zero();
+            for t in crate::campaign::decreasing_length_order(&tests) {
+                if detected == plan.lane_mask() {
+                    break;
+                }
+                detected |=
+                    engine.run_test_event_driven(&tests[t], &traces[t], &plan, detected, true);
+            }
+        }
+        assert!(widest > 64, "widest cone union: {widest} gates");
+        assert_eq!(engine.gate_evals(), 44_898);
     }
 }

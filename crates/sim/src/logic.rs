@@ -108,30 +108,6 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Writes the per-PO value words into `out` (cleared first): one word
-    /// per primary output, bit lane `l` carrying that lane's value.
-    pub fn output_words_into(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend(
-            self.netlist
-                .pos()
-                .iter()
-                .map(|&net| self.values[net as usize]),
-        );
-    }
-
-    /// Writes the per-PPO (next-state line) value words into `out`
-    /// (cleared first).
-    pub fn next_state_words_into(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend(
-            self.netlist
-                .ppos()
-                .iter()
-                .map(|&net| self.values[net as usize]),
-        );
-    }
-
     /// Interprets lane `lane` of the current PO values as a packed output
     /// combination (bit `k` = PO `k`).
     #[must_use]
@@ -364,32 +340,6 @@ mod tests {
         assert_eq!(eval.output_combo(1), 1);
         assert_eq!(eval.next_state_code(0), 1);
         assert_eq!(eval.next_state_code(1), 2);
-    }
-
-    #[test]
-    fn scratch_output_words_match_lane_packing() {
-        let lion = scanft_fsm::benchmarks::lion();
-        let c = synthesize(&lion, &SynthConfig::default());
-        let mut eval = Evaluator::new(c.netlist());
-        eval.load_state_broadcast(1);
-        eval.load_input_broadcast(0b10);
-        eval.eval();
-        let mut pos = vec![0xdead; 7];
-        let mut ppos = Vec::new();
-        eval.output_words_into(&mut pos);
-        eval.next_state_words_into(&mut ppos);
-        assert_eq!(pos.len(), c.netlist().pos().len());
-        assert_eq!(ppos.len(), c.netlist().ppos().len());
-        for lane in [0usize, 17, 63] {
-            let combo = pack_lane(c.netlist().pos(), &eval.values, lane);
-            assert_eq!(eval.output_combo(lane), combo);
-        }
-        for (k, &w) in pos.iter().enumerate() {
-            assert_eq!(w, eval.value(c.netlist().pos()[k]));
-        }
-        for (k, &w) in ppos.iter().enumerate() {
-            assert_eq!(w, eval.value(c.netlist().ppos()[k]));
-        }
     }
 
     #[test]

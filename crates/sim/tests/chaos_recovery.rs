@@ -50,7 +50,7 @@ fn setup(name: &str) -> Setup {
 }
 
 fn uninterrupted(s: &Setup) -> CampaignReport {
-    campaign::run_ordered(s.circuit.netlist(), &s.tests, &s.order, &s.faults)
+    campaign::run_ordered_wide(s.circuit.netlist(), &s.tests, &s.order, &s.faults, true)
 }
 
 fn config(name: &str, threads: usize, budget: Budget) -> SupervisedConfig {

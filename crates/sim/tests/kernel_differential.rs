@@ -26,11 +26,15 @@ use scanft_fsm::rng::SplitMix64;
 use scanft_fsm::uio;
 use scanft_harness::{buffer_contents, read_journal, Budget, JournalWriter};
 use scanft_sim::campaign::{self, Kernel, SupervisedConfig};
+use scanft_sim::engine::InjectionPlan;
 use scanft_sim::faults::{self, Fault};
-use scanft_sim::ScanTest;
+use scanft_sim::{LaneWord, ScanTest, W256};
 use scanft_synth::{synthesize, SynthConfig};
 
-const CIRCUITS: [&str; 4] = ["bbtas", "dk27", "mc", "lion"];
+/// Suite circuits small enough for the narrow oracle on every universe.
+/// dk17 and ex3 have wide stuck-at batches whose cone union spans more
+/// than one 64-position worklist word.
+const CIRCUITS: [&str; 6] = ["bbtas", "dk27", "mc", "lion", "dk17", "ex3"];
 
 struct Setup {
     circuit: scanft_synth::SynthesizedCircuit,
@@ -115,6 +119,36 @@ fn wide_detection_sets_match_narrow_on_functional_tests() {
 }
 
 #[test]
+fn some_wide_cone_spans_more_than_one_worklist_word() {
+    // The wide kernel's worklist keeps one bit per cone position in u64
+    // words, so the tests in this file only cover its multi-word sweep if
+    // some stuck-at batch's cone union is wider than 64 gates.
+    let widest: Vec<(&str, usize)> = CIRCUITS
+        .iter()
+        .map(|&name| {
+            let s = setup(name);
+            let netlist = s.circuit.netlist();
+            let arena = scanft_netlist::GateArena::build(netlist);
+            let widest = s
+                .faults
+                .chunks(W256::LANES)
+                .filter_map(|batch| {
+                    InjectionPlan::<W256>::event_driven(netlist, &arena, batch)
+                        .cone()
+                        .map(scanft_netlist::FaultCone::num_gates)
+                })
+                .max()
+                .unwrap_or(0);
+            (name, widest)
+        })
+        .collect();
+    assert!(
+        widest.iter().any(|&(_, gates)| gates > 64),
+        "no wide cone spans more than 64 positions: {widest:?}"
+    );
+}
+
+#[test]
 fn wide_matches_narrow_under_random_orders() {
     // Shuffled orders shift which test detects which fault, moving batch
     // drop points around — the kernels must still agree bit-for-bit.
@@ -151,7 +185,7 @@ fn event_driven_equals_full_resimulation_on_every_tractable_circuit() {
     // fault batches and per-transition tests, the cone-restricted
     // event-driven path must return the same detection mask as full
     // re-simulation — including under random already-detected skip masks,
-    // which exercise the live-seed filtering and the scan/worklist hybrid.
+    // which exercise the live-seed filtering of the worklist.
     for spec in scanft_fsm::benchmarks::CIRCUITS
         .iter()
         .filter(|s| s.num_inputs + s.num_state_vars <= 12)

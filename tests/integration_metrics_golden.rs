@@ -8,11 +8,17 @@
 #![allow(clippy::unwrap_used)]
 use std::collections::BTreeMap;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn run_with_metrics(args: &[&str]) -> Vec<String> {
+    // Tests run in parallel threads of one process, and two of them may
+    // run the same command: a per-call sequence number keeps one call from
+    // deleting another's directory before it reads the export.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "scanft-metrics-{}-{}",
+        "scanft-metrics-{}-{}-{}",
         std::process::id(),
+        CALLS.fetch_add(1, Ordering::SeqCst),
         args.join("-").replace(['/', '\\'], "_")
     ));
     std::fs::create_dir_all(&dir).expect("create temp dir");
