@@ -430,13 +430,13 @@ impl Propagator {
 
     /// Applies every forward and backward consistency rule of gate `g`.
     fn apply_gate(&mut self, netlist: &Netlist, g: usize) -> Result<(), Conflict> {
-        let gate = &netlist.gates()[g];
+        let inputs = netlist.fanins(g);
         let out = netlist.gate_output(g);
-        let kind = gate.kind;
+        let kind = netlist.kind(g);
         match kind {
             GateKind::Not | GateKind::Buf => {
                 let invert = kind == GateKind::Not;
-                let input = gate.inputs[0];
+                let input = inputs[0];
                 if let Some(v) = self.values[input as usize] {
                     self.assign(out, v ^ invert)?;
                 }
@@ -448,7 +448,7 @@ impl Propagator {
                 let mut parity = false;
                 let mut unknown = None;
                 let mut unknowns = 0usize;
-                for (pin, &input) in gate.inputs.iter().enumerate() {
+                for (pin, &input) in inputs.iter().enumerate() {
                     match self.values[input as usize] {
                         Some(v) => parity ^= v,
                         None => {
@@ -461,7 +461,7 @@ impl Propagator {
                     (0, _) => self.assign(out, parity)?,
                     (1, Some(v)) => {
                         let pin = unknown.unwrap_or(0);
-                        self.assign(gate.inputs[pin], v ^ parity)?;
+                        self.assign(inputs[pin], v ^ parity)?;
                     }
                     _ => {}
                 }
@@ -472,7 +472,7 @@ impl Propagator {
                 let mut unknown = None;
                 let mut unknowns = 0usize;
                 let mut any_controlling = false;
-                for (pin, &input) in gate.inputs.iter().enumerate() {
+                for (pin, &input) in inputs.iter().enumerate() {
                     match self.values[input as usize] {
                         Some(v) if v == controlling => any_controlling = true,
                         Some(_) => {}
@@ -491,14 +491,14 @@ impl Propagator {
                     if v == !controlling ^ invert {
                         // Non-controlled result: every input at the
                         // non-controlling value.
-                        for &input in &gate.inputs {
+                        for &input in inputs {
                             self.assign(input, !controlling)?;
                         }
                     } else if unknowns == 1 && !any_controlling {
                         // Controlled result with one candidate left: it must
                         // supply the controlling value.
                         let pin = unknown.unwrap_or(0);
-                        self.assign(gate.inputs[pin], controlling)?;
+                        self.assign(inputs[pin], controlling)?;
                     }
                 }
             }

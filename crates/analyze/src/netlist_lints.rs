@@ -38,8 +38,8 @@ impl Default for NetlistLintConfig {
 /// repeater, not duplicated logic worth a finding.
 fn is_buffer_of(netlist: &Netlist, a: NetId, b: NetId) -> bool {
     netlist
-        .driver(b)
-        .is_some_and(|g| g.kind == GateKind::Buf && g.inputs[0] == a)
+        .driver_index(b)
+        .is_some_and(|g| netlist.kind(g) == GateKind::Buf && netlist.fanins(g)[0] == a)
 }
 
 /// Runs every enabled netlist lint over `netlist`, reusing a precomputed
@@ -108,8 +108,8 @@ pub fn lint_netlist(
                     "gate output {} ({} gate) drives no gate and no output",
                     netlist.net_name(net),
                     netlist
-                        .driver(net)
-                        .map(|g| g.kind.name())
+                        .driver_index(net)
+                        .map(|g| netlist.kind(g).name())
                         .unwrap_or("unknown"),
                 ),
                 Some("remove the dead gate or route it to an output".into()),
@@ -152,16 +152,17 @@ pub fn lint_netlist(
     }
 
     // Fanin policy.
-    for (g, gate) in netlist.gates().iter().enumerate() {
-        if gate.inputs.len() > config.max_fanin {
+    for g in 0..netlist.num_gates() {
+        let fanin = netlist.fanins(g).len();
+        if fanin > config.max_fanin {
             report.push(diag(
                 LintCode::FaninBound,
                 netlist.net_name(netlist.gate_output(g)),
                 format!(
                     "{} gate {} has fanin {} (bound {})",
-                    gate.kind.name(),
+                    netlist.kind(g).name(),
                     netlist.net_name(netlist.gate_output(g)),
-                    gate.inputs.len(),
+                    fanin,
                     config.max_fanin
                 ),
                 Some("split the gate into a tree (NetlistBuilder::add_tree)".into()),

@@ -69,7 +69,7 @@ pub fn is_statically_untestable(netlist: &Netlist, scoap: &Scoap, fault: &StuckF
             scoap.is_uncontrollable(net, activation_value) || scoap.is_unobservable(net)
         }
         FaultSite::Branch { gate, pin } => {
-            let stem = netlist.gates()[gate as usize].inputs[pin as usize];
+            let stem = netlist.fanins(gate as usize)[pin as usize];
             scoap.is_uncontrollable(stem, activation_value)
                 || scoap.pin_co(gate as usize, pin as usize) == crate::INFINITE
         }

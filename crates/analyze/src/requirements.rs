@@ -120,15 +120,15 @@ impl Requirements {
                 net
             }
             FaultSite::Branch { gate, pin } => {
-                let g = &netlist.gates()[gate as usize];
-                let source = g.inputs[pin as usize];
+                let inputs = netlist.fanins(gate as usize);
+                let source = inputs[pin as usize];
                 if !require(source, activation, &mut order) {
                     return None;
                 }
                 // The effect lives on one pin only, so it must cross this
                 // gate: every *other* pin is a side input.
-                if let Some(nc) = non_controlling(g.kind) {
-                    for (p, &input) in g.inputs.iter().enumerate() {
+                if let Some(nc) = non_controlling(netlist.kind(gate as usize)) {
+                    for (p, &input) in inputs.iter().enumerate() {
                         if p != pin as usize && !require(input, nc, &mut order) {
                             return None;
                         }
@@ -146,11 +146,10 @@ impl Requirements {
             let Some(gi) = netlist.driver_index(dom_net) else {
                 continue;
             };
-            let g = &netlist.gates()[gi];
-            let Some(nc) = non_controlling(g.kind) else {
+            let Some(nc) = non_controlling(netlist.kind(gi)) else {
                 continue;
             };
-            for &input in &g.inputs {
+            for &input in netlist.fanins(gi) {
                 if !self.in_cone(origin, input) && !require(input, nc, &mut order) {
                     return None;
                 }

@@ -80,9 +80,9 @@ impl Scoap {
         }
 
         // Forward sweep: controllability in gate creation (topological) order.
-        for (g, gate) in netlist.gates().iter().enumerate() {
+        for g in 0..netlist.num_gates() {
             let out = num_inputs + g;
-            let (c0, c1) = controllability(gate.kind, &gate.inputs, &cc0, &cc1);
+            let (c0, c1) = controllability(netlist.kind(g), netlist.fanins(g), &cc0, &cc1);
             cc0[out] = c0;
             cc1[out] = c1;
         }
@@ -94,15 +94,14 @@ impl Scoap {
         for &net in netlist.pos().iter().chain(netlist.ppos()) {
             co[net as usize] = 0;
         }
-        let mut pin_co: Vec<Vec<u32>> = netlist
-            .gates()
-            .iter()
-            .map(|g| vec![INFINITE; g.inputs.len()])
+        let mut pin_co: Vec<Vec<u32>> = (0..netlist.num_gates())
+            .map(|g| vec![INFINITE; netlist.fanins(g).len()])
             .collect();
-        for (g, gate) in netlist.gates().iter().enumerate().rev() {
+        for g in (0..netlist.num_gates()).rev() {
+            let (kind, inputs) = (netlist.kind(g), netlist.fanins(g));
             let out_co = co[num_inputs + g];
-            for (pin, &input) in gate.inputs.iter().enumerate() {
-                let side = side_cost(gate.kind, &gate.inputs, pin, &cc0, &cc1);
+            for (pin, &input) in inputs.iter().enumerate() {
+                let side = side_cost(kind, inputs, pin, &cc0, &cc1);
                 let through = out_co.saturating_add(side).saturating_add(1);
                 pin_co[g][pin] = through;
                 let stem = &mut co[input as usize];

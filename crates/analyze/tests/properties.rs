@@ -54,10 +54,10 @@ fn scoap_controllability_is_monotone_toward_inputs() {
     for name in SMALL {
         let netlist = netlist_of(name);
         let scoap = Scoap::new(&netlist);
-        for (g, gate) in netlist.gates().iter().enumerate() {
+        for g in 0..netlist.num_gates() {
             let out = netlist.gate_output(g);
-            let cheapest_input = gate
-                .inputs
+            let cheapest_input = netlist
+                .fanins(g)
                 .iter()
                 .map(|&i| scoap.cc0(i).min(scoap.cc1(i)))
                 .min()
@@ -84,9 +84,9 @@ fn scoap_observability_is_monotone_toward_outputs() {
     for name in SMALL {
         let netlist = netlist_of(name);
         let scoap = Scoap::new(&netlist);
-        for (g, gate) in netlist.gates().iter().enumerate() {
+        for g in 0..netlist.num_gates() {
             let out_co = scoap.co(netlist.gate_output(g));
-            for pin in 0..gate.inputs.len() {
+            for pin in 0..netlist.fanins(g).len() {
                 let pin_co = scoap.pin_co(g, pin);
                 if pin_co != INFINITE {
                     assert!(

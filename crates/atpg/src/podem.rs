@@ -44,6 +44,8 @@
 //! composes directly with the functional tests of the paper's flow and with
 //! `scanft-sim`'s fault-dropping campaigns.
 
+use std::borrow::Cow;
+
 use scanft_analyze::{Analysis, Implications, Requirements, Scoap};
 use scanft_harness::Budget;
 use scanft_netlist::{GateKind, NetId, Netlist};
@@ -222,11 +224,11 @@ pub struct Atpg<'a> {
     netlist: &'a Netlist,
     /// SCOAP measures of the netlist, driving the [`Heuristic::Scoap`]
     /// cost model.
-    scoap: Scoap,
+    scoap: Cow<'a, Scoap>,
     /// Implication closure and dominator pass for the implication-guided
-    /// search; built lazily on the first guided call, or shared up front
+    /// search; built lazily on the first guided call, or borrowed up front
     /// via [`Atpg::with_analysis`].
-    learned: Option<(Implications, Requirements)>,
+    learned: Option<(Cow<'a, Implications>, Cow<'a, Requirements>)>,
     /// Per-net composite value, rebuilt by `imply`.
     values: Vec<V5>,
     /// Per-net X-path flag, rebuilt after every `imply`.
@@ -261,26 +263,29 @@ impl<'a> Atpg<'a> {
     /// [`Atpg::with_analysis`] instead.
     #[must_use]
     pub fn new(netlist: &'a Netlist) -> Self {
-        Self::build(netlist, Scoap::new(netlist), None)
+        Self::build(netlist, Cow::Owned(Scoap::new(netlist)), None)
     }
 
-    /// Creates an engine that reuses `analysis` (its SCOAP measures drive
+    /// Creates an engine that borrows `analysis` (its SCOAP measures drive
     /// the cost model, its implication closure and dominators drive the
-    /// guided search) instead of recomputing them.
+    /// guided search) instead of recomputing or copying them, so engines
+    /// on one netlist can share one analysis.
     #[must_use]
-    pub fn with_analysis(netlist: &'a Netlist, analysis: Analysis) -> Self {
-        let Analysis {
-            scoap,
-            implications,
-            requirements,
-        } = analysis;
-        Self::build(netlist, scoap, Some((implications, requirements)))
+    pub fn with_analysis(netlist: &'a Netlist, analysis: &'a Analysis) -> Self {
+        Self::build(
+            netlist,
+            Cow::Borrowed(&analysis.scoap),
+            Some((
+                Cow::Borrowed(&analysis.implications),
+                Cow::Borrowed(&analysis.requirements),
+            )),
+        )
     }
 
     fn build(
         netlist: &'a Netlist,
-        scoap: Scoap,
-        learned: Option<(Implications, Requirements)>,
+        scoap: Cow<'a, Scoap>,
+        learned: Option<(Cow<'a, Implications>, Cow<'a, Requirements>)>,
     ) -> Self {
         let obs = scanft_obs::global();
         let mut is_obs = vec![false; netlist.num_nets()];
@@ -452,8 +457,8 @@ impl<'a> Atpg<'a> {
     fn apply_static_implications(&mut self, fault: &StuckFault, stats: &mut AtpgStats) -> bool {
         if self.learned.is_none() {
             self.learned = Some((
-                Implications::new(self.netlist),
-                Requirements::new(self.netlist),
+                Cow::Owned(Implications::new(self.netlist)),
+                Cow::Owned(Requirements::new(self.netlist)),
             ));
         }
         let Some((implications, requirements)) = self.learned.as_ref() else {
@@ -498,7 +503,7 @@ impl<'a> Atpg<'a> {
                 origin: net,
             },
             FaultSite::Branch { gate, pin } => {
-                let source = self.netlist.gates()[gate as usize].inputs[pin as usize];
+                let source = self.netlist.fanins(gate as usize)[pin as usize];
                 Target {
                     stem: None,
                     branch: Some((gate, pin)),
@@ -523,10 +528,11 @@ impl<'a> Atpg<'a> {
                 self.values[stem as usize].bad = target.stuck;
             }
         }
-        for (g, gate) in self.netlist.gates().iter().enumerate() {
+        let netlist = self.netlist;
+        for g in 0..netlist.num_gates() {
             self.good_in.clear();
             self.bad_in.clear();
-            for &input in &gate.inputs {
+            for &input in netlist.fanins(g) {
                 self.good_in.push(self.values[input as usize].good);
                 self.bad_in.push(self.values[input as usize].bad);
             }
@@ -536,8 +542,8 @@ impl<'a> Atpg<'a> {
                 }
             }
             let out = num_inputs + g;
-            let good = eval_trits(gate.kind, &self.good_in);
-            let mut bad = eval_trits(gate.kind, &self.bad_in);
+            let good = eval_trits(netlist.kind(g), &self.good_in);
+            let mut bad = eval_trits(netlist.kind(g), &self.bad_in);
             if target.stem == Some(out as NetId) {
                 bad = target.stuck;
             }
@@ -636,26 +642,25 @@ impl<'a> Atpg<'a> {
         }
         let num_inputs = self.netlist.num_pis() + self.netlist.num_ppis();
         let mut best: Option<(NetId, bool, u32)> = None;
-        for (g, gate) in self.netlist.gates().iter().enumerate() {
+        for g in 0..self.netlist.num_gates() {
             let out = self.netlist.gate_output(g);
             if !self.ok[out as usize] || !self.values[out as usize].undetermined() {
                 continue;
             }
-            let has_d = gate
-                .inputs
-                .iter()
-                .any(|&i| self.values[i as usize].carries_d());
+            let inputs = self.netlist.fanins(g);
+            let has_d = inputs.iter().any(|&i| self.values[i as usize].carries_d());
             if !has_d {
                 continue;
             }
-            if let Some(&input) = gate
-                .inputs
+            if let Some(&input) = inputs
                 .iter()
                 .find(|&&i| self.values[i as usize].good == Trit::X)
             {
                 // Non-controlling value lets the fault effect through; XOR
                 // has none, so either value sensitizes — pick 0.
-                let value = controlling_value(gate.kind).map(|c| !c).unwrap_or(false);
+                let value = controlling_value(self.netlist.kind(g))
+                    .map(|c| !c)
+                    .unwrap_or(false);
                 match heuristic {
                     Heuristic::Level => return Some((input, value)),
                     Heuristic::Scoap => {
@@ -695,21 +700,21 @@ impl<'a> Atpg<'a> {
     fn backtrace(&self, mut net: NetId, mut value: bool, heuristic: Heuristic) -> (NetId, bool) {
         let num_inputs = self.netlist.num_pis() + self.netlist.num_ppis();
         while net as usize >= num_inputs {
-            let gate = &self.netlist.gates()[net as usize - num_inputs];
-            if gate.kind.is_unary() {
-                if gate.kind == GateKind::Not {
+            let g = net as usize - num_inputs;
+            let (kind, inputs) = (self.netlist.kind(g), self.netlist.fanins(g));
+            if kind.is_unary() {
+                if kind == GateKind::Not {
                     value = !value;
                 }
-                net = gate.inputs[0];
+                net = inputs[0];
                 continue;
             }
-            let goal = value ^ inverts(gate.kind);
-            let unassigned = gate
-                .inputs
+            let goal = value ^ inverts(kind);
+            let unassigned = inputs
                 .iter()
                 .copied()
                 .filter(|&i| self.values[i as usize].good == Trit::X);
-            match controlling_value(gate.kind) {
+            match controlling_value(kind) {
                 Some(c) if goal == c => {
                     // One controlling input suffices: take the easiest
                     // (cheapest to drive) unassigned one.
@@ -729,8 +734,7 @@ impl<'a> Atpg<'a> {
                 None => {
                     // XOR: aim the chosen input at the parity that the
                     // already-definite inputs leave to cover.
-                    let parity = gate
-                        .inputs
+                    let parity = inputs
                         .iter()
                         .filter(|&&i| self.values[i as usize].good == Trit::One)
                         .count()

@@ -69,7 +69,7 @@ fn config(label: &str, threads: usize, budget: Budget) -> SupervisedConfig {
         budget,
         label: label.to_owned(),
         kernel: scanft_sim::campaign::Kernel::Narrow,
-        arena: None,
+        ..SupervisedConfig::default()
     }
 }
 

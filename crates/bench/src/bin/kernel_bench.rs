@@ -3,16 +3,17 @@
 //! PPSFP) on suite circuits, emitting `BENCH_sim.json`.
 //!
 //! For every circuit the same stuck-at campaign — per-transition length-1
-//! scan tests with fault dropping — runs on both kernels. Each run is
-//! timed over several repetitions (best-of to shave scheduler noise) and
-//! reports:
+//! scan tests with fault dropping — runs on both kernels. The kernels are
+//! timed in rounds whose runs alternate between narrow and wide, so both
+//! see the same host conditions; each kernel reports its best round:
 //!
 //! * `gate_evals_per_sec` — faulty gate evaluations per second, from the
 //!   engines' own counters (the wide kernel evaluates *fewer* gates, not
 //!   just wider words — that is the point of PPSFP);
 //! * `faults_per_sec` — campaign faults retired per second of simulation,
 //!   the end-to-end figure of merit;
-//! * `speedup` — wide over narrow `faults_per_sec`.
+//! * `speedup` — the median over rounds of the round's wide over narrow
+//!   `faults_per_sec` (the upper median for an even `--reps`).
 //!
 //! The wide report is compared verdict-for-verdict against the narrow one
 //! before anything is timed as a trusted number; a mismatch exits 1
@@ -54,12 +55,8 @@ struct Row {
     tests: usize,
     narrow: Measurement,
     wide: Measurement,
-}
-
-impl Row {
-    fn speedup(&self) -> f64 {
-        (self.faults as f64 / self.wide.seconds) / (self.faults as f64 / self.narrow.seconds)
-    }
+    /// Median over rounds of the round's narrow over wide mean run time.
+    speedup: f64,
 }
 
 fn parse_args() -> (String, Vec<String>, usize, bool) {
@@ -108,43 +105,57 @@ fn parse_args() -> (String, Vec<String>, usize, bool) {
 }
 
 /// A single campaign on a 15-gate circuit finishes in microseconds, well
-/// inside timer and scheduler noise; each timing rep therefore repeats the
-/// run until at least this much wall time has elapsed and reports the
-/// mean, so tiny circuits measure as stably as large ones.
+/// inside timer and scheduler noise; each round therefore repeats the runs
+/// until each kernel has run for at least this much wall time and reports
+/// the means, so tiny circuits measure as stably as large ones.
 const MIN_REP_SECONDS: f64 = 0.01;
 
-/// Best-of-`reps` timing of one campaign run (each rep amortised over
-/// `MIN_REP_SECONDS`); gate evals come from the engine counter delta of a
-/// single representative run (they are exactly repeatable, unlike wall
-/// time).
-fn measure(
-    reps: usize,
-    run: impl Fn() -> campaign::CampaignReport,
-) -> (campaign::CampaignReport, Measurement) {
+/// The wall time of one run.
+fn timed(run: &impl Fn() -> campaign::CampaignReport) -> f64 {
+    let t = Instant::now();
+    std::hint::black_box(run());
+    t.elapsed().as_secs_f64()
+}
+
+/// One untimed run: its report and the gate evals read off the engine
+/// counter (they are exactly repeatable, unlike wall time).
+fn representative(run: &impl Fn() -> campaign::CampaignReport) -> (campaign::CampaignReport, u64) {
     let gate_evals = scanft_obs::global().counter("sim.kernel.gate_evals");
     let before = gate_evals.get();
-    let mut report = run();
-    let evals = gate_evals.get() - before;
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        let mut iters = 0u32;
-        loop {
-            report = run();
-            iters += 1;
-            if t.elapsed().as_secs_f64() >= MIN_REP_SECONDS {
-                break;
+    let report = run();
+    (report, gate_evals.get() - before)
+}
+
+/// Times the two kernels in `reps` rounds. A round alternates narrow and
+/// wide runs (which goes first alternates by round) until each kernel has
+/// run for `MIN_REP_SECONDS`, so a slow spell of the host hits both sides
+/// of the round's ratio. Returns each kernel's best round mean and the
+/// median of the per-round narrow/wide time ratios.
+fn measure_pair(
+    reps: usize,
+    narrow: impl Fn() -> campaign::CampaignReport,
+    wide: impl Fn() -> campaign::CampaignReport,
+) -> (f64, f64, f64) {
+    let mut best = (f64::INFINITY, f64::INFINITY);
+    let mut ratios = Vec::with_capacity(reps);
+    for round in 0..reps {
+        let (mut n, mut w, mut iters) = (0.0, 0.0, 0u32);
+        while n < MIN_REP_SECONDS || w < MIN_REP_SECONDS {
+            if round % 2 == 0 {
+                n += timed(&narrow);
+                w += timed(&wide);
+            } else {
+                w += timed(&wide);
+                n += timed(&narrow);
             }
+            iters += 1;
         }
-        best = best.min(t.elapsed().as_secs_f64() / f64::from(iters));
+        let (n, w) = (n / f64::from(iters), w / f64::from(iters));
+        best = (best.0.min(n), best.1.min(w));
+        ratios.push(n / w);
     }
-    (
-        report,
-        Measurement {
-            seconds: best.max(1e-9),
-            gate_evals: evals,
-        },
-    )
+    ratios.sort_by(f64::total_cmp);
+    (best.0, best.1, ratios[reps / 2])
 }
 
 fn bench_circuit(name: &str, reps: usize) -> Row {
@@ -166,12 +177,10 @@ fn bench_circuit(name: &str, reps: usize) -> Row {
     let order: Vec<usize> = (0..tests.len()).collect();
     let list: Vec<Fault> = faults::as_fault_list(&faults::enumerate_stuck(netlist));
 
-    let (narrow_report, narrow) = measure(reps, || {
-        campaign::run_ordered_observing(netlist, &tests, &order, &list, true)
-    });
-    let (wide_report, wide) = measure(reps, || {
-        campaign::run_ordered_wide(netlist, &tests, &order, &list, true)
-    });
+    let narrow = || campaign::run_ordered_observing(netlist, &tests, &order, &list, true);
+    let wide = || campaign::run_ordered_wide(netlist, &tests, &order, &list, true);
+    let (narrow_report, narrow_evals) = representative(&narrow);
+    let (wide_report, wide_evals) = representative(&wide);
 
     // The benchmark is only meaningful if both kernels agree bit-for-bit.
     if wide_report.detecting_test != narrow_report.detecting_test {
@@ -179,13 +188,21 @@ fn bench_circuit(name: &str, reps: usize) -> Row {
         std::process::exit(1);
     }
 
+    let (narrow_seconds, wide_seconds, speedup) = measure_pair(reps, narrow, wide);
     Row {
         name: name.to_owned(),
         gates: netlist.num_gates(),
         faults: list.len(),
         tests: tests.len(),
-        narrow,
-        wide,
+        narrow: Measurement {
+            seconds: narrow_seconds,
+            gate_evals: narrow_evals,
+        },
+        wide: Measurement {
+            seconds: wide_seconds,
+            gate_evals: wide_evals,
+        },
+        speedup,
     }
 }
 
@@ -211,7 +228,7 @@ fn main() {
             row.faults,
             row.narrow.gate_evals as f64 / row.narrow.seconds,
             row.wide.gate_evals as f64 / row.wide.seconds,
-            row.speedup()
+            row.speedup
         );
         rows.push(row);
     }
@@ -227,7 +244,7 @@ fn main() {
                 r.tests,
                 json_measurement(&r.narrow, r.faults),
                 json_measurement(&r.wide, r.faults),
-                r.speedup()
+                r.speedup
             )
         })
         .collect();
@@ -245,13 +262,12 @@ fn main() {
         // side of 1.0x; a genuine regression (the pre-hybrid worklist hit
         // 0.76x on lion) still trips a 10% tolerance.
         const TOLERANCE: f64 = 0.90;
-        let slow: Vec<&Row> = rows.iter().filter(|r| r.speedup() < TOLERANCE).collect();
+        let slow: Vec<&Row> = rows.iter().filter(|r| r.speedup < TOLERANCE).collect();
         if !slow.is_empty() {
             for r in &slow {
                 eprintln!(
                     "FAIL: {}: wide kernel slower than narrow ({:.2}x < {TOLERANCE:.2}x)",
-                    r.name,
-                    r.speedup()
+                    r.name, r.speedup
                 );
             }
             std::process::exit(1);

@@ -151,7 +151,7 @@ fn reference_run(table: &StateTable, journal_path: &str) -> f64 {
         budget: scanft_harness::Budget::unlimited(),
         label: table.name().to_owned(),
         kernel: Kernel::Wide,
-        arena: None,
+        ..SupervisedConfig::default()
     };
     let writer = JournalWriter::create(journal_path).expect("reference journal");
     let partial = campaign::run_supervised(

@@ -242,18 +242,19 @@ pub fn top_up_scan(
     top_up_scan_with(netlist, functional, config, None)
 }
 
-/// Like [`top_up_scan`], accepting a pre-built [`Analysis`] so a caching
+/// Like [`top_up_scan`], borrowing a pre-built [`Analysis`] so a caching
 /// caller (the `scanft serve` artifact cache) can share one implication/
 /// dominator/SCOAP bundle across jobs on the same netlist instead of
-/// recomputing it per run. Passing `None` computes the analysis internally
-/// (when the config needs one), exactly like [`top_up_scan`]; the analysis
-/// is pure structural data, so sharing cannot change any verdict.
+/// recomputing or copying it per run. Passing `None` computes the analysis
+/// internally (when the config needs one), exactly like [`top_up_scan`];
+/// the analysis is pure structural data, so sharing cannot change any
+/// verdict.
 #[must_use]
 pub fn top_up_scan_with(
     netlist: &Netlist,
     functional: &[ScanTest],
     config: &TopUpConfig,
-    prebuilt: Option<Analysis>,
+    prebuilt: Option<&Analysis>,
 ) -> TopUpOutcome {
     let obs = scanft_obs::global();
     let _span = obs.timer("core.top_up").start();
@@ -268,8 +269,15 @@ pub fn top_up_scan_with(
 
     // One static analysis serves the prune and the guided search; it is
     // skipped entirely only when neither wants it.
+    let built;
     let analysis = if config.static_prune || config.use_implications {
-        Some(prebuilt.unwrap_or_else(|| Analysis::new(netlist)))
+        Some(match prebuilt {
+            Some(analysis) => analysis,
+            None => {
+                built = Analysis::new(netlist);
+                &built
+            }
+        })
     } else {
         None
     };
@@ -290,7 +298,7 @@ pub fn top_up_scan_with(
     // PODEM. Classification is sound, so a functional detection of a pruned
     // fault is a contradiction.
     if config.static_prune {
-        if let Some(analysis) = analysis.as_ref() {
+        if let Some(analysis) = analysis {
             let mut num_pruned = 0u64;
             for (k, fault) in targets.iter().enumerate() {
                 if is_statically_untestable_with(netlist, analysis, fault) {

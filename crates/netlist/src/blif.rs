@@ -42,12 +42,16 @@ pub fn write(netlist: &Netlist, model: &str) -> String {
             netlist.net_name(netlist.ppi(k))
         );
     }
-    for (g, gate) in netlist.gates().iter().enumerate() {
-        let names: Vec<String> = gate.inputs.iter().map(|&i| netlist.net_name(i)).collect();
+    for g in 0..netlist.num_gates() {
+        let names: Vec<String> = netlist
+            .fanins(g)
+            .iter()
+            .map(|&i| netlist.net_name(i))
+            .collect();
         let target = netlist.net_name(netlist.gate_output(g));
         let _ = writeln!(out, ".names {} {}", names.join(" "), target);
-        let k = gate.inputs.len();
-        match gate.kind {
+        let k = names.len();
+        match netlist.kind(g) {
             GateKind::And => {
                 let _ = writeln!(out, "{} 1", "1".repeat(k));
             }
@@ -365,9 +369,9 @@ mod tests {
                 for (k, val) in vals.iter_mut().enumerate().take(3) {
                     *val = if point >> k & 1 == 1 { u64::MAX } else { 0 };
                 }
-                for (g, gate) in n.gates().iter().enumerate() {
-                    let ins: Vec<u64> = gate.inputs.iter().map(|&i| vals[i as usize]).collect();
-                    vals[n.gate_output(g) as usize] = gate.kind.eval_words(&ins);
+                for g in 0..n.num_gates() {
+                    let ins: Vec<u64> = n.fanins(g).iter().map(|&i| vals[i as usize]).collect();
+                    vals[n.gate_output(g) as usize] = n.kind(g).eval_words(&ins);
                 }
                 let po = n
                     .pos()

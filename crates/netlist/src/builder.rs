@@ -1,4 +1,4 @@
-use crate::net::{Gate, GateKind, Netlist};
+use crate::net::{GateKind, Netlist};
 use crate::{NetId, NetlistError};
 
 /// Incremental constructor for a [`Netlist`].
@@ -24,7 +24,10 @@ use crate::{NetId, NetlistError};
 pub struct NetlistBuilder {
     num_pis: usize,
     num_ppis: usize,
-    gates: Vec<Gate>,
+    kinds: Vec<GateKind>,
+    /// CSR offsets into `fanins`, one more than there are gates.
+    fanin_start: Vec<u32>,
+    fanins: Vec<NetId>,
 }
 
 impl NetlistBuilder {
@@ -34,7 +37,9 @@ impl NetlistBuilder {
         NetlistBuilder {
             num_pis,
             num_ppis,
-            gates: Vec::new(),
+            kinds: Vec::new(),
+            fanin_start: vec![0],
+            fanins: Vec::new(),
         }
     }
 
@@ -63,7 +68,7 @@ impl NetlistBuilder {
     /// Number of nets defined so far.
     #[must_use]
     pub fn num_nets(&self) -> usize {
-        self.num_pis + self.num_ppis + self.gates.len()
+        self.num_pis + self.num_ppis + self.kinds.len()
     }
 
     /// Adds a gate and returns its output net.
@@ -96,15 +101,14 @@ impl NetlistBuilder {
                 return Err(NetlistError::UnknownNet {
                     net,
                     num_nets: defined,
-                    reference: format!("input {pin} of {} gate g{}", kind.name(), self.gates.len()),
+                    reference: format!("input {pin} of {} gate g{}", kind.name(), self.kinds.len()),
                 });
             }
         }
-        self.gates.push(Gate {
-            kind,
-            inputs: inputs.to_vec(),
-        });
-        Ok((defined) as NetId)
+        self.kinds.push(kind);
+        self.fanins.extend_from_slice(inputs);
+        self.fanin_start.push(csr_offset(self.fanins.len()));
+        Ok(defined as NetId)
     }
 
     /// Builds a balanced tree of `kind` gates over `inputs`, each gate with
@@ -188,13 +192,25 @@ impl NetlistBuilder {
                 });
             }
         }
+        // Fanouts in CSR form, filled in gate order so each net's readers
+        // come out ascending, once per reading pin.
         let inputs = self.num_pis + self.num_ppis;
-        let mut fanout: Vec<Vec<u32>> = vec![Vec::new(); num_nets];
+        let mut fanout_start = vec![0u32; num_nets + 1];
+        for &net in &self.fanins {
+            fanout_start[net as usize + 1] += 1;
+        }
+        for n in 1..fanout_start.len() {
+            fanout_start[n] += fanout_start[n - 1];
+        }
+        let mut fill = fanout_start.clone();
+        let mut fanouts = vec![0u32; self.fanins.len()];
         let mut level: Vec<u32> = vec![0; num_nets];
-        for (g, gate) in self.gates.iter().enumerate() {
+        for (g, pins) in self.fanin_start.windows(2).enumerate() {
             let mut lvl = 0;
-            for &input in &gate.inputs {
-                fanout[input as usize].push(g as u32);
+            for &input in &self.fanins[pins[0] as usize..pins[1] as usize] {
+                let slot = &mut fill[input as usize];
+                fanouts[*slot as usize] = g as u32;
+                *slot += 1;
                 lvl = lvl.max(level[input as usize] + 1);
             }
             level[inputs + g] = lvl;
@@ -202,17 +218,27 @@ impl NetlistBuilder {
         let obs = scanft_obs::global();
         obs.counter("netlist.built").inc();
         obs.counter("netlist.gates_built")
-            .add(self.gates.len() as u64);
+            .add(self.kinds.len() as u64);
         Ok(Netlist {
             num_pis: self.num_pis,
             num_ppis: self.num_ppis,
-            gates: self.gates,
+            kinds: self.kinds,
+            fanin_start: self.fanin_start,
+            fanins: self.fanins,
+            fanout_start,
+            fanouts,
             pos,
             ppos,
-            fanout,
             level,
         })
     }
+}
+
+/// A CSR offset as `u32`. A netlist whose pin count overflows it is far
+/// outside this crate's benchmark-scale envelope, so fail loudly instead of
+/// truncating.
+fn csr_offset(len: usize) -> u32 {
+    u32::try_from(len).expect("netlist too large for u32 CSR offsets")
 }
 
 #[cfg(test)]
@@ -253,9 +279,9 @@ mod tests {
         let inputs: Vec<NetId> = (0..7).collect();
         let root = b.add_tree(GateKind::And, &inputs, 2).unwrap();
         let n = b.finish(vec![root], vec![]).unwrap();
-        for g in n.gates() {
-            assert!(g.inputs.len() <= 2);
-            assert_eq!(g.kind, GateKind::And);
+        for g in 0..n.num_gates() {
+            assert!(n.fanins(g).len() <= 2);
+            assert_eq!(n.kind(g), GateKind::And);
         }
         // Functional check over all 128 input combinations via eval by hand.
         for pattern in 0u32..128 {
@@ -263,9 +289,9 @@ mod tests {
             for (k, val) in vals.iter_mut().enumerate().take(7) {
                 *val = if pattern >> k & 1 == 1 { u64::MAX } else { 0 };
             }
-            for (g, gate) in n.gates().iter().enumerate() {
-                let ins: Vec<u64> = gate.inputs.iter().map(|&i| vals[i as usize]).collect();
-                vals[n.gate_output(g) as usize] = gate.kind.eval_words(&ins);
+            for g in 0..n.num_gates() {
+                let ins: Vec<u64> = n.fanins(g).iter().map(|&i| vals[i as usize]).collect();
+                vals[n.gate_output(g) as usize] = n.kind(g).eval_words(&ins);
             }
             let expect = if pattern == 127 { u64::MAX } else { 0 };
             assert_eq!(vals[root as usize], expect, "pattern {pattern}");
@@ -276,10 +302,9 @@ mod tests {
     fn tree_single_input_identity_and_inversion() {
         let mut b = NetlistBuilder::new(1, 0);
         assert_eq!(b.add_tree(GateKind::And, &[0], 4).unwrap(), 0);
-        assert_eq!(b.gates.len(), 0);
+        assert!(b.kinds.is_empty());
         let n = b.add_tree(GateKind::Nand, &[0], 4).unwrap();
-        assert_eq!(b.gates.len(), 1);
-        assert_eq!(b.gates[0].kind, GateKind::Not);
+        assert_eq!(b.kinds, vec![GateKind::Not]);
         assert_eq!(n, 1);
     }
 
@@ -289,14 +314,29 @@ mod tests {
         let inputs: Vec<NetId> = (0..5).collect();
         let root = b.add_tree(GateKind::Nand, &inputs, 2).unwrap();
         let n = b.finish(vec![root], vec![]).unwrap();
-        let nands = n
-            .gates()
-            .iter()
-            .filter(|g| g.kind == GateKind::Nand)
+        let nands = (0..n.num_gates())
+            .filter(|&g| n.kind(g) == GateKind::Nand)
             .count();
         assert_eq!(nands, 1);
         // Root must be the NAND.
-        assert_eq!(n.driver(root).unwrap().kind, GateKind::Nand);
+        assert_eq!(n.kind(n.driver_index(root).unwrap()), GateKind::Nand);
+    }
+
+    #[test]
+    fn fanouts_ascend_and_keep_one_entry_per_pin() {
+        // x1 feeds g2 twice (both pins) and g0 once; g1 reads g0.
+        let mut b = NetlistBuilder::new(2, 0);
+        let a = b.add_gate(GateKind::And, &[0, 1]).unwrap();
+        let n1 = b.add_gate(GateKind::Not, &[a]).unwrap();
+        let x = b.add_gate(GateKind::Xor, &[0, 0]).unwrap();
+        let n = b.finish(vec![n1, x], vec![]).unwrap();
+        assert_eq!(n.fanout(0), &[0, 2, 2]);
+        assert_eq!(n.fanout(1), &[0]);
+        assert_eq!(n.fanout(a), &[1]);
+        assert!(n.fanout(x).is_empty());
+        assert_eq!(n.fanins(2), &[0, 0]);
+        assert_eq!(n.level(x), 1);
+        assert_eq!(n.level(n1), 2);
     }
 
     #[test]

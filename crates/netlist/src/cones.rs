@@ -14,7 +14,6 @@
 //! the cone, present-state line `k`'s fanout is merged in — so the result
 //! is sound for multi-cycle scan tests, not just single-cycle patterns.
 
-use crate::arena::GateArena;
 use crate::net::Netlist;
 use crate::NetId;
 
@@ -43,16 +42,11 @@ impl FaultCone {
     ///
     /// Panics if a seed references a net or gate out of range.
     #[must_use]
-    pub fn compute(
-        netlist: &Netlist,
-        arena: &GateArena,
-        seed_nets: &[NetId],
-        seed_gates: &[u32],
-    ) -> Self {
+    pub fn compute(netlist: &Netlist, seed_nets: &[NetId], seed_gates: &[u32]) -> Self {
         // A gate is in the cone exactly when its output net is: seeding a
         // net (or a gate's output) and walking fanout both mark the net
         // together with its driver, and PPIs drive no gate.
-        let num_nets = arena.num_nets();
+        let num_nets = netlist.num_nets();
         let mut nets = vec![false; num_nets];
         let mut stack: Vec<NetId> = Vec::with_capacity(num_nets);
 
@@ -68,18 +62,18 @@ impl FaultCone {
         }
         for &g in seed_gates {
             assert!(
-                (g as usize) < arena.num_gates(),
+                (g as usize) < netlist.num_gates(),
                 "seed gate {g} out of range"
             );
-            seed_net(arena.gate_output(g as usize), &mut nets);
+            seed_net(netlist.gate_output(g as usize), &mut nets);
         }
 
         // Transitive fanout, re-seeding through the scan boundary until the
         // PPO -> PPI closure reaches a fixpoint (at most num_ppis rounds).
         loop {
             while let Some(net) = stack.pop() {
-                for &g in arena.fanouts(net) {
-                    let out = arena.gate_output(g as usize);
+                for &g in netlist.fanout(net) {
+                    let out = netlist.gate_output(g as usize);
                     if !nets[out as usize] {
                         nets[out as usize] = true;
                         stack.push(out);
@@ -101,9 +95,10 @@ impl FaultCone {
             }
         }
 
-        let mut gates: Vec<u32> = Vec::with_capacity(arena.num_gates());
+        let mut gates: Vec<u32> = Vec::with_capacity(netlist.num_gates());
         gates.extend(
-            (0..arena.num_gates() as u32).filter(|&g| nets[arena.gate_output(g as usize) as usize]),
+            (0..netlist.num_gates() as u32)
+                .filter(|&g| nets[netlist.gate_output(g as usize) as usize]),
         );
         FaultCone { gates, nets }
     }
@@ -142,8 +137,7 @@ mod tests {
     #[test]
     fn cone_stays_inside_its_half() {
         let n = two_cones();
-        let arena = GateArena::build(&n);
-        let cone = FaultCone::compute(&n, &arena, &[n.pi(0)], &[]);
+        let cone = FaultCone::compute(&n, &[n.pi(0)], &[]);
         assert_eq!(cone.gates, vec![0]);
         assert!(cone.contains_net(n.pi(0)));
         assert!(cone.contains_net(n.gate_output(0)));
@@ -154,26 +148,23 @@ mod tests {
     #[test]
     fn seed_net_includes_its_driver_gate() {
         let n = two_cones();
-        let arena = GateArena::build(&n);
         // Seeding the AND's *output* net still includes gate 0, so a kernel
         // applying a stem force at the driver revisits it.
-        let cone = FaultCone::compute(&n, &arena, &[n.gate_output(0)], &[]);
+        let cone = FaultCone::compute(&n, &[n.gate_output(0)], &[]);
         assert_eq!(cone.gates, vec![0]);
     }
 
     #[test]
     fn union_of_seeds_is_the_union_of_cones() {
         let n = two_cones();
-        let arena = GateArena::build(&n);
-        let cone = FaultCone::compute(&n, &arena, &[n.pi(0), n.pi(3)], &[]);
+        let cone = FaultCone::compute(&n, &[n.pi(0), n.pi(3)], &[]);
         assert_eq!(cone.gates, vec![0, 1]);
     }
 
     #[test]
     fn seed_gate_marks_its_output_perturbable() {
         let n = two_cones();
-        let arena = GateArena::build(&n);
-        let cone = FaultCone::compute(&n, &arena, &[], &[1]);
+        let cone = FaultCone::compute(&n, &[], &[1]);
         assert_eq!(cone.gates, vec![1]);
         assert!(cone.contains_net(n.gate_output(1)));
         assert!(!cone.contains_net(n.gate_output(0)));
@@ -190,8 +181,7 @@ mod tests {
         let ns = b.add_gate(GateKind::Buf, &[x]).unwrap();
         let z = b.add_gate(GateKind::Buf, &[ps]).unwrap();
         let n = b.finish(vec![z], vec![ns]).unwrap();
-        let arena = GateArena::build(&n);
-        let cone = FaultCone::compute(&n, &arena, &[x], &[]);
+        let cone = FaultCone::compute(&n, &[x], &[]);
         assert!(cone.contains_net(ps), "closure crosses the scan boundary");
         assert!(cone.contains_net(z));
         assert_eq!(cone.gates, vec![0, 1]);
@@ -200,8 +190,7 @@ mod tests {
     #[test]
     fn empty_seed_set_yields_an_empty_cone() {
         let n = two_cones();
-        let arena = GateArena::build(&n);
-        let cone = FaultCone::compute(&n, &arena, &[], &[]);
+        let cone = FaultCone::compute(&n, &[], &[]);
         assert!(cone.gates.is_empty());
         assert!(!cone.contains_net(0));
         assert_eq!(cone.num_gates(), 0);

@@ -34,17 +34,17 @@ pub fn to_dot(netlist: &Netlist, name: &str) -> String {
             netlist.net_name(net)
         );
     }
-    for (g, gate) in netlist.gates().iter().enumerate() {
+    for g in 0..netlist.num_gates() {
         let net = netlist.gate_output(g);
         let emphasized = netlist.pos().contains(&net) || netlist.ppos().contains(&net);
         let peripheries = if emphasized { 2 } else { 1 };
         let _ = writeln!(
             out,
             "  n{net} [shape=ellipse,peripheries={peripheries},label=\"{} {}\"];",
-            gate.kind,
+            netlist.kind(g),
             netlist.net_name(net)
         );
-        for &input in &gate.inputs {
+        for &input in netlist.fanins(g) {
             let _ = writeln!(out, "  n{input} -> n{net};");
         }
     }

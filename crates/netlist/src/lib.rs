@@ -35,7 +35,6 @@
 
 pub mod blif;
 
-mod arena;
 mod builder;
 mod cones;
 mod dominators;
@@ -44,13 +43,12 @@ mod error;
 mod net;
 mod reach;
 
-pub use arena::GateArena;
 pub use builder::NetlistBuilder;
 pub use cones::FaultCone;
 pub use dominators::PostDominators;
 pub use dot::to_dot;
 pub use error::NetlistError;
-pub use net::{Gate, GateKind, Netlist, NetlistStats};
+pub use net::{GateKind, Netlist, NetlistStats};
 pub use reach::Reachability;
 
 /// Index of a net (a line in the circuit). PIs come first, then PPIs, then

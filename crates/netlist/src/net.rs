@@ -71,30 +71,34 @@ impl fmt::Display for GateKind {
     }
 }
 
-/// One gate instance: a kind and its input nets. Its output net id is
-/// implicit (`num_pis + num_ppis + gate_index`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Gate {
-    /// Logic function.
-    pub kind: GateKind,
-    /// Input nets, in pin order.
-    pub inputs: Vec<NetId>,
-}
-
 /// A combinational netlist with a full-scan boundary.
 ///
 /// Nets are numbered: `0..num_pis` are primary inputs, the next `num_ppis`
 /// are pseudo-primary inputs (present-state lines), and each gate adds one
 /// output net in creation order, which is guaranteed topological.
+///
+/// The gates are stored flat, in compressed-sparse-row form: one array of
+/// gate kinds, one contiguous fanin array in pin order and one contiguous
+/// fanout array, each indexed by `u32` offsets. Every consumer — synthesis,
+/// analysis, ATPG, the optimizer and both simulation kernels — walks these
+/// same slices, so a full pass is a forward sweep over gate ids.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Netlist {
     pub(crate) num_pis: usize,
     pub(crate) num_ppis: usize,
-    pub(crate) gates: Vec<Gate>,
+    /// Logic function of each gate.
+    pub(crate) kinds: Vec<GateKind>,
+    /// CSR offsets into `fanins`: gate `g` reads `fanins[fanin_start[g] ..
+    /// fanin_start[g + 1]]`.
+    pub(crate) fanin_start: Vec<u32>,
+    pub(crate) fanins: Vec<NetId>,
+    /// CSR offsets into `fanouts`: net `n` feeds gates `fanouts[
+    /// fanout_start[n] .. fanout_start[n + 1]]`, ascending, one entry per
+    /// reading pin.
+    pub(crate) fanout_start: Vec<u32>,
+    pub(crate) fanouts: Vec<u32>,
     pub(crate) pos: Vec<NetId>,
     pub(crate) ppos: Vec<NetId>,
-    /// `fanout[net]` = indices of gates reading `net`.
-    pub(crate) fanout: Vec<Vec<u32>>,
     /// `level[net]` = longest path (in gates) from any input net.
     pub(crate) level: Vec<u32>,
 }
@@ -113,15 +117,17 @@ impl Netlist {
     }
 
     /// Number of gates.
+    #[inline]
     #[must_use]
     pub fn num_gates(&self) -> usize {
-        self.gates.len()
+        self.kinds.len()
     }
 
     /// Total number of nets (PIs + PPIs + gate outputs).
+    #[inline]
     #[must_use]
     pub fn num_nets(&self) -> usize {
-        self.num_pis + self.num_ppis + self.gates.len()
+        self.num_pis + self.num_ppis + self.kinds.len()
     }
 
     /// Net id of primary input `k`.
@@ -160,45 +166,56 @@ impl Netlist {
         &self.ppos
     }
 
-    /// The gates in topological order.
+    /// Logic function of gate `g`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is out of range.
+    #[inline]
     #[must_use]
-    pub fn gates(&self) -> &[Gate] {
-        &self.gates
+    pub fn kind(&self, g: usize) -> GateKind {
+        self.kinds[g]
     }
 
-    /// The gate driving `net`, or `None` for PI/PPI nets.
+    /// Fanin nets of gate `g`, in pin order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is out of range.
+    #[inline]
     #[must_use]
-    pub fn driver(&self, net: NetId) -> Option<&Gate> {
-        let inputs = self.num_pis + self.num_ppis;
-        (net as usize >= inputs).then(|| &self.gates[net as usize - inputs])
+    pub fn fanins(&self, g: usize) -> &[NetId] {
+        &self.fanins[self.fanin_start[g] as usize..self.fanin_start[g + 1] as usize]
     }
 
     /// Index of the gate driving `net`, or `None` for PI/PPI nets.
+    #[inline]
     #[must_use]
     pub fn driver_index(&self, net: NetId) -> Option<usize> {
         let inputs = self.num_pis + self.num_ppis;
         (net as usize >= inputs).then(|| net as usize - inputs)
     }
 
-    /// Output net of gate `g`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` is out of range.
+    /// Output net of gate `g` (`num_pis + num_ppis + g`; the gate index is
+    /// not range-checked).
+    #[inline]
     #[must_use]
     pub fn gate_output(&self, g: usize) -> NetId {
-        assert!(g < self.gates.len(), "gate {g} out of range");
+        debug_assert!(g < self.kinds.len(), "gate {g} out of range");
         (self.num_pis + self.num_ppis + g) as NetId
     }
 
-    /// Indices of the gates that read `net`.
+    /// Indices of the gates that read `net`, ascending, once per reading
+    /// pin.
     ///
     /// # Panics
     ///
     /// Panics if `net` is out of range.
+    #[inline]
     #[must_use]
     pub fn fanout(&self, net: NetId) -> &[u32] {
-        &self.fanout[net as usize]
+        let net = net as usize;
+        &self.fanouts[self.fanout_start[net] as usize..self.fanout_start[net + 1] as usize]
     }
 
     /// Logic level of `net`: 0 for inputs, `1 + max(level of gate inputs)`
@@ -236,7 +253,7 @@ impl Netlist {
     /// to at least one gate.
     #[must_use]
     pub fn is_connected(&self, net: NetId) -> bool {
-        !self.fanout[net as usize].is_empty() || self.pos.contains(&net) || self.ppos.contains(&net)
+        !self.fanout(net).is_empty() || self.pos.contains(&net) || self.ppos.contains(&net)
     }
 
     /// Summary statistics (gate counts by kind, depth, net count).
@@ -246,13 +263,13 @@ impl Netlist {
             num_pis: self.num_pis,
             num_ppis: self.num_ppis,
             num_pos: self.pos.len(),
-            num_gates: self.gates.len(),
+            num_gates: self.num_gates(),
             num_nets: self.num_nets(),
             depth: self.depth(),
             ..NetlistStats::default()
         };
-        for g in &self.gates {
-            match g.kind {
+        for kind in &self.kinds {
+            match kind {
                 GateKind::And => stats.num_and += 1,
                 GateKind::Or => stats.num_or += 1,
                 GateKind::Nand => stats.num_nand += 1,
@@ -353,8 +370,8 @@ mod tests {
         assert_eq!(n.net_name(0), "x1");
         assert_eq!(n.net_name(2), "y1");
         assert_eq!(n.net_name(3), "g1");
-        assert!(n.driver(0).is_none());
-        assert_eq!(n.driver(3).unwrap().kind, GateKind::And);
+        assert!(n.driver_index(0).is_none());
+        assert_eq!(n.kind(n.driver_index(3).unwrap()), GateKind::And);
         assert_eq!(n.driver_index(5), Some(2));
     }
 
@@ -363,6 +380,9 @@ mod tests {
         let n = small();
         assert_eq!(n.fanout(0), &[0]); // x1 -> AND
         assert_eq!(n.fanout(3), &[2]); // AND -> OR
+        assert!(n.fanout(5).is_empty()); // OR drives only the PO
+        assert_eq!(n.fanins(2), &[3, 4]);
+        assert_eq!(n.kind(1), GateKind::Not);
         assert_eq!(n.level(0), 0);
         assert_eq!(n.level(3), 1);
         assert_eq!(n.level(5), 2);

@@ -50,8 +50,7 @@ impl Reachability {
             // Collect the row of `out` once to avoid aliasing while writing
             // into input rows.
             let out_row: Vec<u64> = rows[out * words_per_row..(out + 1) * words_per_row].to_vec();
-            let inputs = netlist.gates()[g].inputs.clone();
-            for input in inputs {
+            for &input in netlist.fanins(g) {
                 let row = &mut rows[input as usize * words_per_row..];
                 row[out / 64] |= 1 << (out % 64);
                 for (w, &bits) in out_row.iter().enumerate() {

@@ -371,9 +371,8 @@ fn gate_forces(
     value: bool,
     line: usize,
 ) -> Result<(), CheckError> {
-    let gate = &netlist.gates()[g];
     let out = netlist.gate_output(g);
-    let mut terminals: Vec<NetId> = gate.inputs.clone();
+    let mut terminals: Vec<NetId> = netlist.fanins(g).to_vec();
     terminals.push(out);
     if !terminals.contains(&target) {
         return fail(line, format!("net {target} is not a terminal of gate {g}"));
@@ -394,8 +393,8 @@ fn gate_forces(
                 None => *assignment.get(&net).expect("terminal assigned or free"),
             }
         };
-        let inputs: Vec<bool> = gate.inputs.iter().map(|&i| lookup(i)).collect();
-        if eval_gate(gate.kind, &inputs) == lookup(out) && lookup(target) != value {
+        let inputs: Vec<bool> = netlist.fanins(g).iter().map(|&i| lookup(i)).collect();
+        if eval_gate(netlist.kind(g), &inputs) == lookup(out) && lookup(target) != value {
             return fail(
                 line,
                 format!("gate {g} does not force net {target} to {value}"),
@@ -521,7 +520,9 @@ pub fn check(
         net
     };
     let mut alive = vec![true; num_gates];
-    let mut inputs: Vec<Vec<NetId>> = original.gates().iter().map(|g| g.inputs.clone()).collect();
+    let mut inputs: Vec<Vec<NetId>> = (0..num_gates)
+        .map(|g| original.fanins(g).to_vec())
+        .collect();
 
     for (index, text) in certificate.lines().enumerate() {
         let line = index + 1;
@@ -646,8 +647,8 @@ pub fn check(
                 if subst[drop_out as usize] != drop_out {
                     return fail(line, format!("net {drop_out} already substituted"));
                 }
-                let kind_keep = original.gates()[keep].kind;
-                if kind_keep != original.gates()[drop].kind {
+                let kind_keep = original.kind(keep);
+                if kind_keep != original.kind(drop) {
                     return fail(line, "merged gates differ in kind");
                 }
                 let mut keep_inputs: Vec<NetId> =
@@ -676,7 +677,7 @@ pub fn check(
                 if subst[out as usize] != out {
                     return fail(line, "drop_pin on a substituted gate");
                 }
-                if droppable_value(original.gates()[g].kind) != Some(value) {
+                if droppable_value(original.kind(g)) != Some(value) {
                     return fail(line, "dropped value is not the gate's identity constant");
                 }
                 if inputs[g].len() <= 1 || pin >= inputs[g].len() {
@@ -732,7 +733,7 @@ pub fn check(
                 None => return fail(0, format!("input of surviving gate {g} did not survive")),
             }
         }
-        let out = match builder.add_gate(original.gates()[g].kind, &gate_inputs) {
+        let out = match builder.add_gate(original.kind(g), &gate_inputs) {
             Ok(out) => out,
             Err(e) => return fail(0, format!("rebuilding gate {g}: {e}")),
         };

@@ -1,10 +1,10 @@
-//! A small forward dataflow framework over the levelized [`GateArena`].
+//! A small forward dataflow framework over the netlist's gates.
 //!
 //! An analysis supplies a join-semilattice of per-net values and a transfer
 //! function per gate; the framework seeds the primary and pseudo-primary
-//! inputs, sweeps the arena's level schedule, and re-evaluates fanout until
-//! the assignment stops changing — a fixpoint in at most `depth` sweeps
-//! because the netlist is acyclic and transfer functions are monotone.
+//! inputs and sweeps the gates once in id order. Gate ids are topological,
+//! so every gate sees its fanins' final values and the one sweep reaches
+//! the fixpoint.
 //!
 //! The bundled instance is three-valued constant propagation
 //! ([`ConstLattice`]): scan-in makes every PPI a free variable, so the
@@ -16,12 +16,12 @@
 //! must also be reported by [`scanft_analyze::ConstFacts`], and the
 //! optimizer's stats expose both counts.
 
-use scanft_netlist::{GateArena, GateKind, NetId, Netlist};
+use scanft_netlist::{GateKind, NetId, Netlist};
 
 /// A forward dataflow analysis: a value domain plus a transfer function.
 pub trait Analysis {
     /// The per-net lattice value.
-    type Value: Copy + PartialEq;
+    type Value: Copy;
 
     /// The value assigned to primary and pseudo-primary inputs.
     fn input(&self) -> Self::Value;
@@ -32,28 +32,15 @@ pub trait Analysis {
 
 /// Runs `analysis` forward over `netlist` to a fixpoint and returns the
 /// per-net value assignment.
-pub fn forward<A: Analysis>(netlist: &Netlist, arena: &GateArena, analysis: &A) -> Vec<A::Value> {
+pub fn forward<A: Analysis>(netlist: &Netlist, analysis: &A) -> Vec<A::Value> {
     let mut values: Vec<A::Value> = vec![analysis.input(); netlist.num_nets()];
     let mut scratch: Vec<A::Value> = Vec::new();
-    loop {
-        let mut changed = false;
-        for level in 0..arena.num_levels() {
-            for &g in arena.level_batch(level) {
-                let g = g as usize;
-                scratch.clear();
-                scratch.extend(arena.fanins(g).iter().map(|&net| values[net as usize]));
-                let out = analysis.transfer(arena.kind(g), &scratch);
-                let slot = &mut values[arena.gate_output(g) as usize];
-                if *slot != out {
-                    *slot = out;
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            return values;
-        }
+    for g in 0..netlist.num_gates() {
+        scratch.clear();
+        scratch.extend(netlist.fanins(g).iter().map(|&net| values[net as usize]));
+        values[netlist.gate_output(g) as usize] = analysis.transfer(netlist.kind(g), &scratch);
     }
+    values
 }
 
 /// Three-valued constant domain.
@@ -149,8 +136,8 @@ impl Analysis for ConstLattice {
 
 /// The constants found by forward propagation alone, in net order.
 #[must_use]
-pub fn forward_constants(netlist: &Netlist, arena: &GateArena) -> Vec<(NetId, bool)> {
-    forward(netlist, arena, &ConstLattice)
+pub fn forward_constants(netlist: &Netlist) -> Vec<(NetId, bool)> {
+    forward(netlist, &ConstLattice)
         .iter()
         .enumerate()
         .filter_map(|(net, v)| v.known().map(|b| (net as NetId, b)))
@@ -169,8 +156,7 @@ mod tests {
         let mut b = NetlistBuilder::new(2, 0);
         let a = b.add_gate(GateKind::And, &[0, 1]).unwrap();
         let n = b.finish(vec![a], vec![]).unwrap();
-        let arena = GateArena::build(&n);
-        assert!(forward_constants(&n, &arena).is_empty());
+        assert!(forward_constants(&n).is_empty());
     }
 
     #[test]
@@ -185,8 +171,7 @@ mod tests {
         let c = b.add_gate(GateKind::And, &[0, nx]).unwrap();
         let z = b.add_gate(GateKind::Or, &[c, 0]).unwrap();
         let n = b.finish(vec![z], vec![]).unwrap();
-        let arena = GateArena::build(&n);
-        let fwd = forward_constants(&n, &arena);
+        let fwd = forward_constants(&n);
         let facts = ConstFacts::of(&scanft_analyze::Analysis::new(&n));
         // Subset property: every forward constant is a closure constant.
         for &(net, v) in &fwd {

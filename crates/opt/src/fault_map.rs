@@ -84,7 +84,7 @@ impl FaultPlan {
                     FaultSite::Net(net) => (net, net),
                     FaultSite::Branch { gate, pin } => (
                         original.gate_output(gate as usize),
-                        original.gates()[gate as usize].inputs[pin as usize],
+                        original.fanins(gate as usize)[pin as usize],
                     ),
                 };
                 if constant[source as usize] == Some(sf.stuck_at_one)
@@ -161,7 +161,7 @@ fn tainted_origins(original: &Netlist, opt: &Optimized) -> Vec<bool> {
         }
         tainted[net as usize] = true;
         if let Some(g) = original.driver_index(net) {
-            stack.extend_from_slice(&original.gates()[g].inputs);
+            stack.extend_from_slice(original.fanins(g));
         }
         // Scan-boundary closure: a PPI's value is last cycle's PPO value.
         let num_pis = original.num_pis() as NetId;

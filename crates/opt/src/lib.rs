@@ -32,7 +32,7 @@ pub mod fault_map;
 pub mod prover;
 pub mod rewrite;
 
-use scanft_netlist::{GateArena, Netlist};
+use scanft_netlist::Netlist;
 
 pub use certificate::Certificate;
 pub use rewrite::{NetMap, RewriteStats};
@@ -97,8 +97,7 @@ pub fn optimize_with(netlist: &Netlist, analysis: &scanft_analyze::Analysis) -> 
     let obs = scanft_obs::global();
     let _timer = obs.timer("opt.optimize_secs").start();
     let facts = scanft_analyze::ConstFacts::of(analysis);
-    let arena = GateArena::build(netlist);
-    let dataflow_constants = dataflow::forward_constants(netlist, &arena).len();
+    let dataflow_constants = dataflow::forward_constants(netlist).len();
     let mut cert = Certificate::begin(netlist.num_pis(), netlist.num_ppis(), netlist.num_gates());
     let mut prover = prover::Prover::new(netlist, &mut cert);
     let (reduced, map, rw) = rewrite::run(netlist, &facts, &mut prover, &mut cert);

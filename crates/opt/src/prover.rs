@@ -487,10 +487,9 @@ impl Tracked {
         net: NetId,
         v: bool,
     ) -> Result<(), ()> {
-        let gate = &netlist.gates()[g];
         let out = netlist.gate_output(g);
         let mut parents = Vec::new();
-        for &t in gate.inputs.iter().chain(std::iter::once(&out)) {
+        for &t in netlist.fanins(g).iter().chain(std::iter::once(&out)) {
             if t != net && self.values[t as usize].is_some() && !parents.contains(&t) {
                 parents.push(t);
             }
@@ -508,13 +507,13 @@ impl Tracked {
     /// Applies every forward and backward consistency rule of gate `g`
     /// (mirrors the engine's `apply_gate`).
     fn apply_gate(&mut self, netlist: &Netlist, g: usize) -> Result<(), ()> {
-        let gate = &netlist.gates()[g];
+        let inputs = netlist.fanins(g);
         let out = netlist.gate_output(g);
-        let kind = gate.kind;
+        let kind = netlist.kind(g);
         match kind {
             GateKind::Not | GateKind::Buf => {
                 let invert = kind == GateKind::Not;
-                let input = gate.inputs[0];
+                let input = inputs[0];
                 if let Some(v) = self.values[input as usize] {
                     self.assign_by_gate(netlist, g, out, v ^ invert)?;
                 }
@@ -526,7 +525,7 @@ impl Tracked {
                 let mut parity = false;
                 let mut unknown = None;
                 let mut unknowns = 0usize;
-                for (pin, &input) in gate.inputs.iter().enumerate() {
+                for (pin, &input) in inputs.iter().enumerate() {
                     match self.values[input as usize] {
                         Some(v) => parity ^= v,
                         None => {
@@ -539,7 +538,7 @@ impl Tracked {
                     (0, _) => self.assign_by_gate(netlist, g, out, parity)?,
                     (1, Some(v)) => {
                         let pin = unknown.unwrap_or(0);
-                        self.assign_by_gate(netlist, g, gate.inputs[pin], v ^ parity)?;
+                        self.assign_by_gate(netlist, g, inputs[pin], v ^ parity)?;
                     }
                     _ => {}
                 }
@@ -550,7 +549,7 @@ impl Tracked {
                 let mut unknown = None;
                 let mut unknowns = 0usize;
                 let mut any_controlling = false;
-                for (pin, &input) in gate.inputs.iter().enumerate() {
+                for (pin, &input) in inputs.iter().enumerate() {
                     match self.values[input as usize] {
                         Some(v) if v == controlling => any_controlling = true,
                         Some(_) => {}
@@ -567,12 +566,12 @@ impl Tracked {
                 }
                 if let Some(v) = self.values[out as usize] {
                     if v == !controlling ^ invert {
-                        for pin in 0..gate.inputs.len() {
-                            self.assign_by_gate(netlist, g, gate.inputs[pin], !controlling)?;
+                        for &input in inputs {
+                            self.assign_by_gate(netlist, g, input, !controlling)?;
                         }
                     } else if unknowns == 1 && !any_controlling {
                         let pin = unknown.unwrap_or(0);
-                        self.assign_by_gate(netlist, g, gate.inputs[pin], controlling)?;
+                        self.assign_by_gate(netlist, g, inputs[pin], controlling)?;
                     }
                 }
             }

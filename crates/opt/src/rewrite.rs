@@ -131,12 +131,9 @@ pub fn run(
         net
     };
     let mut alive = vec![true; ng];
-    let mut cur_inputs: Vec<Vec<NetId>> =
-        netlist.gates().iter().map(|g| g.inputs.clone()).collect();
-    let mut kept_pins: Vec<Vec<u32>> = netlist
-        .gates()
-        .iter()
-        .map(|g| (0..g.inputs.len() as u32).collect())
+    let mut cur_inputs: Vec<Vec<NetId>> = (0..ng).map(|g| netlist.fanins(g).to_vec()).collect();
+    let mut kept_pins: Vec<Vec<u32>> = (0..ng)
+        .map(|g| (0..netlist.fanins(g).len() as u32).collect())
         .collect();
     let mut cone_taints: Vec<NetId> = Vec::new();
     let mut point_taints: Vec<NetId> = Vec::new();
@@ -156,7 +153,7 @@ pub fn run(
             *slot = resolve(&subst, *slot);
         }
         let out = netlist.gate_output(g);
-        let kind = netlist.gates()[g].kind;
+        let kind = netlist.kind(g);
 
         // 1. Constant folding of the output net.
         if let Some(v) = facts.constant(out) {
@@ -278,7 +275,7 @@ pub fn run(
             .map(|&i| new_net[i as usize].expect("resolved inputs of survivors survive"))
             .collect();
         let out = builder
-            .add_gate(netlist.gates()[g].kind, &inputs)
+            .add_gate(netlist.kind(g), &inputs)
             .expect("rewrite preserves well-formedness");
         new_net[netlist.gate_output(g) as usize] = Some(out);
         new_gate[g] = Some(next_gate);
@@ -376,7 +373,7 @@ mod tests {
         // NOT and AND both die once the OR no longer reads c.
         assert_eq!(stats.gates_removed, 2);
         assert_eq!(reduced.num_gates(), 1);
-        assert_eq!(reduced.gates()[0].inputs, vec![0, 1]);
+        assert_eq!(reduced.fanins(0), &[0, 1]);
         assert!(map.reduced_net(c).is_none());
         assert!(cert.as_text().contains("\"step\":\"drop_pin\""));
         assert!(cert.as_text().contains("\"step\":\"dead\""));

@@ -1,25 +1,25 @@
 //! The content-addressed artifact cache.
 //!
-//! Synthesis, the gate arena, and the implication/dominator/SCOAP bundle
-//! are pure functions of the circuit, so the server computes them once per
+//! Synthesis and the implication/dominator/SCOAP bundle are pure
+//! functions of the circuit, so the server computes them once per
 //! [`ContentKey`] and shares them across jobs and tenants. The cache is a
 //! bounded LRU under one mutex — artifact *construction* happens outside
 //! the lock, so a slow synthesis cannot stall unrelated lookups — and every
 //! hit, miss and eviction is counted in `scanft-obs` (`server.cache.*`).
 //!
 //! What is cached eagerly vs lazily follows what jobs actually pay for:
-//! the synthesized circuit and the wide-kernel [`GateArena`] are built on
-//! first use of a key (every simulate job needs both), while the
+//! the synthesized circuit, whose netlist both kernels read directly, is
+//! built on first use of a key (every job needs it), while the
 //! [`Analysis`] bundle is built behind a `OnceLock` only when the first
 //! ATPG job on that circuit asks for it — a simulate-only tenant never pays
-//! the implication-closure cost.
+//! the implication-closure cost. ATPG jobs borrow the shared bundle; none
+//! copies it.
 
 use scanft_race::sync::{Arc, Mutex, OnceLock};
 use std::collections::HashMap;
 
 use scanft_analyze::Analysis;
 use scanft_fsm::StateTable;
-use scanft_netlist::GateArena;
 use scanft_synth::{synthesize, SynthConfig, SynthesizedCircuit};
 
 use crate::hash::ContentKey;
@@ -31,21 +31,17 @@ pub struct Artifacts {
     pub table: StateTable,
     /// Synthesized gate-level implementation.
     pub circuit: SynthesizedCircuit,
-    /// Wide-kernel gate arena over `circuit.netlist()`.
-    pub arena: Arc<GateArena>,
     analysis: OnceLock<Arc<Analysis>>,
 }
 
 impl Artifacts {
-    /// Builds the eager artifacts (synthesis + arena) for a table.
+    /// Builds the eager artifact (synthesis) for a table.
     #[must_use]
     pub fn build(table: StateTable) -> Self {
         let circuit = synthesize(&table, &SynthConfig::default());
-        let arena = Arc::new(GateArena::build(circuit.netlist()));
         Artifacts {
             table,
             circuit,
-            arena,
             analysis: OnceLock::new(),
         }
     }

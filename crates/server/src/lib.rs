@@ -1,7 +1,7 @@
 //! `scanft serve` — the ATPG-as-a-service campaign server.
 //!
 //! Every one-shot `scanft` invocation rebuilds the same expensive pipeline
-//! stages — synthesis, gate arena, implication/dominator/SCOAP analysis —
+//! stages — synthesis and the implication/dominator/SCOAP analysis —
 //! and throws them away on exit. This crate turns the resilient supervisor
 //! (`scanft-harness`) and the wide PPSFP kernel (`scanft-sim`) into a
 //! long-running daemon:
@@ -13,8 +13,8 @@
 //!   concurrency is worker-pool shaped anyway.
 //! - [`cache`]: a content-addressed artifact cache keyed by a hash of the
 //!   *canonicalized* KISS2 input (never the file name), sharing synthesis
-//!   output, the gate arena, and the `Analysis` implication/dominator/SCOAP
-//!   bundle across jobs and tenants, with hit/miss/eviction counters in
+//!   output and the `Analysis` implication/dominator/SCOAP bundle across
+//!   jobs and tenants, with hit/miss/eviction counters in
 //!   `scanft-obs`.
 //! - [`job`]: the job registry and queue with per-tenant quotas (max
 //!   queued jobs, work-unit budget) riding the PR 5 [`Budget`] types;

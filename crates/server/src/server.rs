@@ -772,7 +772,6 @@ fn execute(shared: &Shared, job: &Arc<Job>) -> Result<JobStatus, ScanftError> {
                 observe_scan_out: true,
                 budget,
                 label: job.circuit.clone(),
-                arena: Some(Arc::clone(&artifacts.arena)),
                 ..SupervisedConfig::default()
             };
             // Delay-only chaos (panic and truncation rates zero): drills
@@ -835,11 +834,12 @@ fn execute(shared: &Shared, job: &Arc<Job>) -> Result<JobStatus, ScanftError> {
                 budget,
                 ..TopUpConfig::default()
             };
+            let analysis = artifacts.analysis();
             let outcome = top_up_scan_with(
                 artifacts.circuit.netlist(),
                 &scan_tests,
                 &config,
-                Some((*artifacts.analysis()).clone()),
+                Some(&analysis),
             );
             let report = &outcome.report;
             if report.stopped == Some(StopReason::Cancelled) {

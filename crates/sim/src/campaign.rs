@@ -9,7 +9,7 @@
 //! application time most.
 //!
 //! Every runner here is one campaign core: a single good-circuit pass (one
-//! [`GateArena`], one [`GoodTrace`] per referenced test) and one batch loop
+//! [`GoodTrace`] per referenced test) and one batch loop
 //! generic over the lane word. The wide kernel (256 lanes, cone-restricted)
 //! is the product kernel; the narrow kernel (64 lanes, full re-simulation)
 //! is the differential oracle, reached by name through
@@ -19,13 +19,13 @@
 //! records into results identical to an uninterrupted run, so this module
 //! must not consult wall clocks or any other ambient nondeterminism.
 
-use scanft_race::sync::{Arc, Mutex};
+use scanft_race::sync::Mutex;
 
 use scanft_harness::{
     run_units, Budget, FailurePlan, Journal, JournalHeader, JournalRecord, JournalWriter,
     ScanftError, StopReason, UnitFailure,
 };
-use scanft_netlist::{GateArena, Netlist};
+use scanft_netlist::Netlist;
 
 use crate::engine::{FaultEngine, InjectionPlan};
 use crate::faults::Fault;
@@ -59,7 +59,7 @@ trait KernelWord: LaneWord {
     const TIMER: &'static str;
 
     /// Builds the injection plan for one batch of at most `LANES` faults.
-    fn plan(netlist: &Netlist, arena: &GateArena, batch: &[Fault]) -> InjectionPlan<Self>;
+    fn plan(netlist: &Netlist, batch: &[Fault]) -> InjectionPlan<Self>;
 }
 
 /// The narrow oracle: a plan without a cone, so every test falls through
@@ -67,7 +67,7 @@ trait KernelWord: LaneWord {
 impl KernelWord for u64 {
     const TIMER: &'static str = "sim.campaign.run";
 
-    fn plan(netlist: &Netlist, _arena: &GateArena, batch: &[Fault]) -> InjectionPlan<u64> {
+    fn plan(netlist: &Netlist, batch: &[Fault]) -> InjectionPlan<u64> {
         InjectionPlan::build(netlist, batch)
     }
 }
@@ -78,8 +78,8 @@ impl KernelWord for u64 {
 impl KernelWord for W256 {
     const TIMER: &'static str = "sim.campaign.run_wide";
 
-    fn plan(netlist: &Netlist, arena: &GateArena, batch: &[Fault]) -> InjectionPlan<W256> {
-        InjectionPlan::event_driven(netlist, arena, batch)
+    fn plan(netlist: &Netlist, batch: &[Fault]) -> InjectionPlan<W256> {
+        InjectionPlan::event_driven(netlist, batch)
     }
 }
 
@@ -229,14 +229,9 @@ pub fn run_ordered_wide(
 }
 
 /// The good-circuit pass of a campaign: the fault-free trace of every test
-/// `order` references, recorded once over the shared `arena`.
-fn good_traces(
-    netlist: &Netlist,
-    arena: &Arc<GateArena>,
-    tests: &[ScanTest],
-    order: &[usize],
-) -> Vec<Option<GoodTrace>> {
-    let mut evaluator = Evaluator::with_arena(netlist, Arc::clone(arena));
+/// `order` references, recorded once.
+fn good_traces(netlist: &Netlist, tests: &[ScanTest], order: &[usize]) -> Vec<Option<GoodTrace>> {
+    let mut evaluator = Evaluator::new(netlist);
     let mut traces: Vec<Option<GoodTrace>> = vec![None; tests.len()];
     for &t in order {
         if traces[t].is_none() {
@@ -299,13 +294,12 @@ fn run_sequential<W: KernelWord>(
         return CampaignReport::new(vec![None; faults.len()], order);
     }
 
-    let arena = Arc::new(GateArena::build(netlist));
-    let traces = good_traces(netlist, &arena, tests, order);
-    let mut engine = FaultEngine::<W>::with_arena(netlist, Arc::clone(&arena));
+    let traces = good_traces(netlist, tests, order);
+    let mut engine = FaultEngine::<W>::new(netlist);
     let mut detecting_test: Vec<Option<usize>> = Vec::with_capacity(faults.len());
     for batch in faults.chunks(W::LANES) {
         batches_run.inc();
-        let plan = W::plan(netlist, &arena, batch);
+        let plan = W::plan(netlist, batch);
         let (local, simulated) = run_batch(
             &mut engine,
             tests,
@@ -338,11 +332,10 @@ pub struct SupervisedConfig {
     /// Which simulation kernel to run on. Verdicts and journal layout are
     /// identical across kernels; only throughput differs.
     pub kernel: Kernel,
-    /// Pre-built gate arena. `None` builds one per run; a caching caller
-    /// (the `scanft serve` artifact cache) passes a shared arena so repeat
-    /// campaigns on the same netlist skip the rebuild. The arena carries no
-    /// per-run state, so sharing cannot change verdicts.
-    pub arena: Option<Arc<GateArena>>,
+    /// Always `None`: the netlist is the only gate layout, so there is
+    /// nothing left to prebuild. Kept so that callers naming every field
+    /// still compile; it admits no other value and is read nowhere.
+    pub arena: Option<std::convert::Infallible>,
 }
 
 impl Default for SupervisedConfig {
@@ -532,11 +525,7 @@ fn supervise<W: KernelWord>(
         .filter(|&batch| missing_units(batch).next().is_some())
         .collect();
 
-    let arena = config
-        .arena
-        .clone()
-        .unwrap_or_else(|| Arc::new(GateArena::build(netlist)));
-    let traces = good_traces(netlist, &arena, tests, order);
+    let traces = good_traces(netlist, tests, order);
     let batches_run = obs.counter("sim.campaign.batches");
     let gate_evals = obs.counter("sim.kernel.gate_evals");
     let journal_error: Mutex<Option<String>> = Mutex::new(None);
@@ -545,12 +534,12 @@ fn supervise<W: KernelWord>(
         config.num_threads,
         &config.budget,
         chaos,
-        || FaultEngine::<W>::with_arena(netlist, Arc::clone(&arena)),
+        || FaultEngine::<W>::new(netlist),
         |engine, batch| {
             let first = batch_units(batch).start;
             let batch_faults = &faults[first * 64..(batch_units(batch).end * 64).min(faults.len())];
             batches_run.inc();
-            let plan = W::plan(netlist, &arena, batch_faults);
+            let plan = W::plan(netlist, batch_faults);
             // Lanes of already-journaled units stay skipped: they quiesce
             // to fault-free values and cost no events.
             let mut skip = W::zero();
@@ -1002,8 +991,7 @@ mod tests {
         // Regression: an empty batch used to run a full (vacuous)
         // simulation pass before noticing its all-zero lane mask.
         let (c, tests, order, _) = lion_campaign();
-        let arena = Arc::new(GateArena::build(c.netlist()));
-        let traces = good_traces(c.netlist(), &arena, &tests, &order);
+        let traces = good_traces(c.netlist(), &tests, &order);
         let mut engine = FaultEngine::new(c.netlist());
         let plan = InjectionPlan::new(c.netlist(), &[]);
         let (verdicts, simulated) = run_batch(&mut engine, &tests, &order, &traces, &plan, 0, true);

@@ -161,10 +161,10 @@ pub fn collapse_stuck_with(
             .copied()
     };
 
-    for (g, gate) in netlist.gates().iter().enumerate() {
+    for g in 0..netlist.num_gates() {
         let out = netlist.gate_output(g);
         // (pin stuck value, output stuck value) pairs that are equivalent.
-        let relations: &[(bool, bool)] = match gate.kind {
+        let relations: &[(bool, bool)] = match netlist.kind(g) {
             GateKind::And => &[(false, false)],
             GateKind::Or => &[(true, true)],
             GateKind::Nand => &[(false, true)],
@@ -174,7 +174,7 @@ pub fn collapse_stuck_with(
             // XOR has no controlling value: no structural equivalence.
             GateKind::Xor => &[],
         };
-        for (p, &source) in gate.inputs.iter().enumerate() {
+        for (p, &source) in netlist.fanins(g).iter().enumerate() {
             for &(pin_value, out_value) in relations {
                 if let (Some(a), Some(b)) = (
                     pin_fault(g as u32, p as u32, source, pin_value),
@@ -193,8 +193,8 @@ pub fn collapse_stuck_with(
     let mut witness_of: HashMap<usize, usize> = HashMap::new();
     if config.dominance {
         let post = PostDominators::new(netlist);
-        for (g, gate) in netlist.gates().iter().enumerate() {
-            let (controlling, invert) = match gate.kind {
+        for g in 0..netlist.num_gates() {
+            let (controlling, invert) = match netlist.kind(g) {
                 GateKind::And => (false, false),
                 GateKind::Or => (true, false),
                 GateKind::Nand => (false, true),
@@ -210,7 +210,7 @@ pub fn collapse_stuck_with(
             }) else {
                 continue;
             };
-            for (p, &source) in gate.inputs.iter().enumerate() {
+            for (p, &source) in netlist.fanins(g).iter().enumerate() {
                 let site = if netlist.fanout(source).len() > 1 {
                     // A branch fault affects only this gate's input: every
                     // detection necessarily propagates through the gate.

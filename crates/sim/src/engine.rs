@@ -11,9 +11,9 @@
 //! cycle, or in the scanned-out final state (exactly the paper's
 //! observation model).
 //!
-//! Evaluation walks the netlist's flattened [`GateArena`] (contiguous
-//! fanins, `u32` indices, level-ordered schedule), shared via `Arc` by all
-//! engines of a campaign.
+//! Evaluation walks the netlist's flat gate arrays (contiguous fanins and
+//! fanouts, `u32` indices); a full pass sweeps the gates in id order, which
+//! is topological.
 //!
 //! # Injection
 //!
@@ -45,9 +45,7 @@
 //! cone union that spans every gate restricts nothing; such a batch runs
 //! the plain full pass, which is cheaper than the worklist bookkeeping.
 
-use scanft_race::sync::Arc;
-
-use scanft_netlist::{FaultCone, GateArena, NetId, Netlist};
+use scanft_netlist::{FaultCone, NetId, Netlist};
 
 use crate::faults::{BridgeKind, Fault, FaultSite};
 use crate::logic::{eval_gate, GoodTrace};
@@ -330,7 +328,7 @@ impl<W: LaneWord> InjectionPlan<W> {
     ///
     /// Panics if more than `W::LANES` faults are supplied.
     #[must_use]
-    pub fn event_driven(netlist: &Netlist, arena: &GateArena, faults: &[Fault]) -> Self {
+    pub fn event_driven(netlist: &Netlist, faults: &[Fault]) -> Self {
         let mut plan = Self::build(netlist, faults);
         if plan.has_bridges || plan.has_delays() {
             return plan;
@@ -343,16 +341,16 @@ impl<W: LaneWord> InjectionPlan<W> {
         );
         let mut seed_gates: Vec<u32> = plan.branch.iter().map(|&(g, _, _)| g).collect();
         seed_gates.dedup();
-        let cone = FaultCone::compute(netlist, arena, &seed_nets, &seed_gates);
-        if cone.gates.len() == arena.num_gates() {
+        let cone = FaultCone::compute(netlist, &seed_nets, &seed_gates);
+        if cone.gates.len() == netlist.num_gates() {
             return plan;
         }
-        let mut cone_pos = vec![u32::MAX; arena.num_gates()];
+        let mut cone_pos = vec![u32::MAX; netlist.num_gates()];
         plan.force_gates.reserve_exact(cone.gates.len());
         for (pos, &g) in cone.gates.iter().enumerate() {
             cone_pos[g as usize] = pos as u32;
             let lanes = plan.branch_range(g as usize).iter().fold(
-                plan.stem[arena.gate_output(g as usize) as usize].lanes(),
+                plan.stem[netlist.gate_output(g as usize) as usize].lanes(),
                 |acc, b| acc | b.2.lanes(),
             );
             if !lanes.is_zero() {
@@ -459,7 +457,6 @@ fn csr_offsets(buckets: usize, keys: impl Iterator<Item = u32>) -> Vec<u32> {
 #[derive(Debug)]
 pub struct FaultEngine<'a, W: LaneWord = u64> {
     netlist: &'a Netlist,
-    arena: Arc<GateArena>,
     values: Vec<W>,
     /// Per-net late-reading overlay for delay faults, rebuilt every cycle.
     late: Vec<Force<W>>,
@@ -488,25 +485,14 @@ pub struct FaultEngine<'a, W: LaneWord = u64> {
     gate_evals: u64,
 }
 
-impl<'a> FaultEngine<'a, u64> {
-    /// Creates a narrow (64-lane) engine for `netlist` with a private
-    /// arena.
+impl<'a, W: LaneWord> FaultEngine<'a, W> {
+    /// Creates an engine for `netlist` (`FaultEngine::<W256>::new` is the
+    /// wide kernel). Engines borrow the netlist and own only per-run
+    /// scratch, so per-thread engines of a campaign are cheap.
     #[must_use]
     pub fn new(netlist: &'a Netlist) -> Self {
-        FaultEngine::with_arena(netlist, Arc::new(GateArena::build(netlist)))
-    }
-}
-
-impl<'a, W: LaneWord> FaultEngine<'a, W> {
-    /// Creates an engine sharing a prebuilt `arena`. This is the wide
-    /// kernel's entry point (`FaultEngine::<W256>::with_arena`) and the
-    /// cheap way to spin up per-thread engines in a campaign.
-    #[must_use]
-    pub fn with_arena(netlist: &'a Netlist, arena: Arc<GateArena>) -> Self {
-        debug_assert_eq!(arena.num_nets(), netlist.num_nets());
         FaultEngine {
             netlist,
-            arena,
             values: vec![W::zero(); netlist.num_nets()],
             late: Vec::new(),
             late_dirty: Vec::new(),
@@ -595,14 +581,14 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
     /// fault-free value `good`, marks the net dirty and queues its in-cone
     /// fanout gates.
     #[inline]
-    fn settle(&mut self, arena: &GateArena, plan: &InjectionPlan<W>, net: NetId, word: W, good: W) {
+    fn settle(&mut self, plan: &InjectionPlan<W>, net: NetId, word: W, good: W) {
         self.values[net as usize] = word;
         if word == good {
             return;
         }
         self.dirty[net as usize] = true;
         self.touched.push(net);
-        for &g in arena.fanouts(net) {
+        for &g in self.netlist.fanout(net) {
             let pos = plan.cone_pos[g as usize];
             if pos != u32::MAX {
                 set_bit(&mut self.work, pos as usize);
@@ -617,28 +603,28 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
     #[inline]
     fn eval_cone_gate(
         &mut self,
-        arena: &GateArena,
         plan: &InjectionPlan<W>,
         trace: &GoodTrace,
         cycle: usize,
         g: usize,
         live: W,
     ) {
-        let out = arena.gate_output(g);
-        let fanins = arena.fanins(g);
+        let netlist = self.netlist;
+        let out = netlist.gate_output(g);
+        let fanins = netlist.fanins(g);
         let branch = plan.branch_range(g);
         self.gate_evals += 1;
         let (dirty, values) = (&self.dirty, &self.values);
         let word = if branch.is_empty() {
             eval_gate(
-                arena.kind(g),
+                netlist.kind(g),
                 fanins
                     .iter()
                     .map(|&f| current_word(dirty, values, trace, cycle, f)),
             )
         } else {
             eval_gate(
-                arena.kind(g),
+                netlist.kind(g),
                 fanins.iter().enumerate().map(|(pin, &f)| {
                     branch
                         .iter()
@@ -650,7 +636,7 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
             )
         };
         let word = plan.stem[out as usize].masked(live).apply(word);
-        self.settle(arena, plan, out, word, W::splat_bit(trace.bit(cycle, out)));
+        self.settle(plan, out, word, W::splat_bit(trace.bit(cycle, out)));
     }
 
     /// Event-driven PPSFP variant of [`FaultEngine::run_test_observing`]:
@@ -686,13 +672,12 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
         if live.is_zero() {
             return W::zero();
         }
-        let arena = Arc::clone(&self.arena);
         let netlist = self.netlist;
         let num_ppis = netlist.num_ppis();
         let mut detected = W::zero();
 
-        if self.dirty.len() != arena.num_nets() {
-            self.dirty = vec![false; arena.num_nets()];
+        if self.dirty.len() != netlist.num_nets() {
+            self.dirty = vec![false; netlist.num_nets()];
         }
         debug_assert!(self.touched.is_empty());
 
@@ -720,13 +705,13 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
                 let net = netlist.pi(k as usize);
                 let good = W::splat_bit(input >> k & 1 == 1);
                 let word = plan.stem[net as usize].masked(live).apply(good);
-                self.settle(&arena, plan, net, word, good);
+                self.settle(plan, net, word, good);
             }
             // PPIs: reload the captured faulty state every cycle.
             for (k, &word) in state_words.iter().enumerate() {
                 let net = netlist.ppi(k);
                 let word = plan.stem[net as usize].masked(live).apply(word);
-                self.settle(&arena, plan, net, word, W::splat_bit(trace.bit(cycle, net)));
+                self.settle(plan, net, word, W::splat_bit(trace.bit(cycle, net)));
             }
             // Drain the worklist lowest position first: every queued gate
             // carries a live force or has a fanin that deviates. Cone
@@ -740,7 +725,7 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
                     let bit = self.work[w].trailing_zeros() as usize;
                     self.work[w] &= self.work[w] - 1;
                     let g = cone.gates[w * 64 + bit] as usize;
-                    self.eval_cone_gate(&arena, plan, trace, cycle, g, live);
+                    self.eval_cone_gate(plan, trace, cycle, g, live);
                     debug_assert_eq!(
                         self.work[w] & (u64::MAX >> (63 - bit)),
                         0,
@@ -942,12 +927,11 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
     }
 
     fn eval_pass(&mut self, plan: &InjectionPlan<W>) {
-        let arena = Arc::clone(&self.arena);
+        let netlist = self.netlist;
         let branchy = !plan.branch.is_empty();
         let tapped = plan.has_bridges || plan.has_delays();
-        for &g in arena.schedule() {
-            let g = g as usize;
-            let out = arena.gate_output(g) as usize;
+        for g in 0..netlist.num_gates() {
+            let out = netlist.gate_output(g) as usize;
             let stem = plan.stem[out];
             let word = if tapped || branchy {
                 // Slow path: inputs read through bridge taps, late
@@ -955,8 +939,8 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
                 let branch = plan.branch_range(g);
                 let (values, late) = (&self.values, &self.late);
                 eval_gate(
-                    arena.kind(g),
-                    arena.fanins(g).iter().enumerate().map(|(pin, &input)| {
+                    netlist.kind(g),
+                    netlist.fanins(g).iter().enumerate().map(|(pin, &input)| {
                         let v = if tapped {
                             plan.read(input, values, late)
                         } else {
@@ -971,13 +955,13 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
             } else {
                 let values = &self.values;
                 eval_gate(
-                    arena.kind(g),
-                    arena.fanins(g).iter().map(|&f| values[f as usize]),
+                    netlist.kind(g),
+                    netlist.fanins(g).iter().map(|&f| values[f as usize]),
                 )
             };
             self.values[out] = stem.apply(word);
         }
-        self.gate_evals += arena.num_gates() as u64;
+        self.gate_evals += netlist.num_gates() as u64;
     }
 }
 
@@ -1264,10 +1248,9 @@ mod tests {
             .copied()
             .map(Fault::Stuck)
             .collect();
-        let arena = Arc::new(GateArena::build(n));
         let wide_plan = InjectionPlan::<W256>::build(n, &wide_batch);
         assert_eq!(wide_plan.lane_mask(), W256::ones());
-        let mut wide = FaultEngine::<W256>::with_arena(n, Arc::clone(&arena));
+        let mut wide = FaultEngine::<W256>::new(n);
         let mut narrow = FaultEngine::new(n);
         let lion = scanft_fsm::benchmarks::lion();
         for t in lion.transitions() {
@@ -1286,7 +1269,6 @@ mod tests {
     fn event_driven_matches_full_resimulation() {
         let c = lion_netlist();
         let n = c.netlist();
-        let arena = Arc::new(GateArena::build(n));
         let stuck = crate::faults::enumerate_stuck(n);
         let lion = scanft_fsm::benchmarks::lion();
         let tests: Vec<ScanTest> = lion
@@ -1294,12 +1276,12 @@ mod tests {
             .map(|t| ScanTest::new(u64::from(t.from), vec![t.input]))
             .collect();
         let mut full = FaultEngine::new(n);
-        let mut event = FaultEngine::with_arena(n, Arc::clone(&arena));
-        let mut evaluator = Evaluator::with_arena(n, Arc::clone(&arena));
+        let mut event = FaultEngine::new(n);
+        let mut evaluator = Evaluator::new(n);
         let mut cones = Vec::new();
         for batch in stuck.chunks(64) {
             let faults: Vec<Fault> = batch.iter().copied().map(Fault::Stuck).collect();
-            let plan = InjectionPlan::event_driven(n, &arena, &faults);
+            let plan = InjectionPlan::event_driven(n, &faults);
             cones.push(plan.cone().map(FaultCone::num_gates));
             for test in &tests {
                 let trace = evaluator.record_trace(test);
@@ -1330,13 +1312,12 @@ mod tests {
         let o = bld.add_gate(GateKind::Or, &[2, 3]).unwrap();
         let no = bld.add_gate(GateKind::Not, &[o]).unwrap();
         let n = bld.finish(vec![na, no], vec![]).unwrap();
-        let arena = GateArena::build(&n);
         let bridge = Fault::Bridge(BridgingFault {
             a,
             b: o,
             kind: BridgeKind::And,
         });
-        let plan = InjectionPlan::event_driven(&n, &arena, &[bridge]);
+        let plan = InjectionPlan::event_driven(&n, &[bridge]);
         assert!(plan.cone().is_none(), "bridge batches get no cone");
         let test = ScanTest::new(0, vec![0b0011]);
         let mut evaluator = Evaluator::new(&n);
@@ -1500,14 +1481,13 @@ mod tests {
             .iter()
             .map(|t| ScanTest::new(c.encode_state(t.initial_state), t.inputs.clone()))
             .collect();
-        let arena = Arc::new(GateArena::build(n));
-        let mut evaluator = Evaluator::with_arena(n, Arc::clone(&arena));
+        let mut evaluator = Evaluator::new(n);
         let traces: Vec<GoodTrace> = tests.iter().map(|t| evaluator.record_trace(t)).collect();
         let faults = crate::faults::as_fault_list(&crate::faults::enumerate_stuck(n));
-        let mut engine = FaultEngine::<W256>::with_arena(n, Arc::clone(&arena));
+        let mut engine = FaultEngine::<W256>::new(n);
         let mut widest = 0;
         for batch in faults.chunks(256) {
-            let plan = InjectionPlan::event_driven(n, &arena, batch);
+            let plan = InjectionPlan::event_driven(n, batch);
             widest = widest.max(plan.cone().map_or(0, FaultCone::num_gates));
             let mut detected = W256::zero();
             for t in crate::campaign::decreasing_length_order(&tests) {

@@ -100,7 +100,7 @@ impl Fault {
                 match f.site {
                     FaultSite::Net(net) => format!("{} s-a-{v}", netlist.net_name(net)),
                     FaultSite::Branch { gate, pin } => {
-                        let src = netlist.gates()[gate as usize].inputs[pin as usize];
+                        let src = netlist.fanins(gate as usize)[pin as usize];
                         format!(
                             "{}->{} s-a-{v}",
                             netlist.net_name(src),
@@ -167,8 +167,7 @@ pub fn enumerate_stuck(netlist: &Netlist) -> Vec<StuckFault> {
         // Branch faults only where the stem actually branches.
         if netlist.fanout(net).len() > 1 {
             for &g in netlist.fanout(net) {
-                let gate = &netlist.gates()[g as usize];
-                for (pin, &input) in gate.inputs.iter().enumerate() {
+                for (pin, &input) in netlist.fanins(g as usize).iter().enumerate() {
                     if input == net {
                         for stuck_at_one in [false, true] {
                             faults.push(StuckFault {
@@ -190,51 +189,64 @@ pub fn enumerate_stuck(netlist: &Netlist) -> Vec<StuckFault> {
 /// Enumerates the paper's bridging-fault universe (see module docs), both
 /// AND-type and OR-type per qualifying pair, capped at `max_pairs` pairs.
 ///
-/// When the structural pair count exceeds `max_pairs`, pairs are kept by a
-/// deterministic stride so the selection is reproducible; the true pair
-/// count is reported in [`BridgeEnumeration::total_pairs`] — never silently
-/// truncated.
+/// Pairs are ordered by their first line, then their second, both in net
+/// order. When the structural pair count exceeds a nonzero `max_pairs`, the
+/// pairs at the stride positions `k * total / max_pairs` are kept, so the
+/// selection is reproducible; the true pair count is reported in
+/// [`BridgeEnumeration::total_pairs`] — never silently truncated.
+///
+/// Memory grows with the candidate lines and the kept pairs, not with the
+/// roughly `C²/2` qualifying pairs: a first walk counts each candidate's
+/// pairs, and a second revisits only the candidates holding a kept position.
 #[must_use]
 pub fn enumerate_bridging(netlist: &Netlist, max_pairs: usize) -> BridgeEnumeration {
-    let reach = Reachability::new(netlist);
+    let reach = &Reachability::new(netlist);
     // Candidate lines: outputs of multi-input gates (condition 1) that feed
     // at least one gate (condition 2 requires them to be gate inputs).
     let candidates: Vec<NetId> = (0..netlist.num_gates())
+        .filter(|&g| netlist.fanins(g).len() > 1)
         .map(|g| netlist.gate_output(g))
-        .filter(|&net| {
-            let gate = netlist.driver(net).expect("gate outputs have drivers");
-            gate.inputs.len() > 1 && !netlist.fanout(net).is_empty()
-        })
+        .filter(|&net| !netlist.fanout(net).is_empty())
         .collect();
-
-    let mut pairs: Vec<(NetId, NetId)> = Vec::new();
-    for (i, &a) in candidates.iter().enumerate() {
-        for &b in &candidates[i + 1..] {
+    // The partners `b` after candidate `i` that qualify for a pair with it.
+    let partners = |i: usize| {
+        let a = candidates[i];
+        candidates[i + 1..].iter().copied().filter(move |&b| {
             // Condition 2: inputs of different gates — no shared consumer.
             let shares_consumer = netlist
                 .fanout(a)
                 .iter()
                 .any(|g| netlist.fanout(b).contains(g));
-            if shares_consumer {
-                continue;
-            }
             // Condition 3: non-feedback.
-            if !reach.independent(a, b) {
-                continue;
-            }
-            pairs.push((a, b));
-        }
-    }
-
-    let total_pairs = pairs.len();
-    let kept: Vec<(NetId, NetId)> = if total_pairs > max_pairs && max_pairs > 0 {
-        // Deterministic stride subsample.
-        (0..max_pairs)
-            .map(|k| pairs[k * total_pairs / max_pairs])
-            .collect()
-    } else {
-        pairs
+            !shares_consumer && reach.independent(a, b)
+        })
     };
+
+    let row_pairs: Vec<usize> = (0..candidates.len()).map(|i| partners(i).count()).collect();
+    let total_pairs: usize = row_pairs.iter().sum();
+    // The `k`-th kept position: a deterministic stride subsample when
+    // capped, every position otherwise (the stride is then 1).
+    let num_kept = if total_pairs > max_pairs && max_pairs > 0 {
+        max_pairs
+    } else {
+        total_pairs
+    };
+    let position = |k: usize| k * total_pairs / num_kept;
+    let mut kept: Vec<(NetId, NetId)> = Vec::with_capacity(num_kept);
+    // Walk the rows with the position of each row's first pair; a row is
+    // revisited only when it holds the next kept position.
+    let mut first = 0;
+    for (i, &count) in row_pairs.iter().enumerate() {
+        let end = first + count;
+        if kept.len() < num_kept && position(kept.len()) < end {
+            for (pos, b) in (first..end).zip(partners(i)) {
+                if kept.len() < num_kept && pos == position(kept.len()) {
+                    kept.push((candidates[i], b));
+                }
+            }
+        }
+        first = end;
+    }
 
     // No silent caps: the subsampling is observable in the metrics export,
     // not just in the returned struct.

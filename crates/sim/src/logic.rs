@@ -4,13 +4,11 @@
 //! default); the engine interprets the lanes either as independent input
 //! patterns (pattern-parallel, used by the exhaustive simulator) or as
 //! copies of one pattern under different faults (fault-parallel, used by
-//! the fault engine). Evaluation walks the netlist's flattened
-//! [`GateArena`], built once and shared by every evaluator of a campaign.
-
-use scanft_race::sync::Arc;
+//! the fault engine). Evaluation sweeps the netlist's flat gate arrays in
+//! gate id order, which is topological.
 
 use scanft_fsm::InputId;
-use scanft_netlist::{GateArena, GateKind, NetId, Netlist};
+use scanft_netlist::{GateKind, NetId, Netlist};
 
 use crate::word::LaneWord;
 use crate::{ScanResponse, ScanTest};
@@ -19,25 +17,15 @@ use crate::{ScanResponse, ScanTest};
 #[derive(Debug, Clone)]
 pub struct Evaluator<'a> {
     netlist: &'a Netlist,
-    arena: Arc<GateArena>,
     values: Vec<u64>,
 }
 
 impl<'a> Evaluator<'a> {
-    /// Creates an evaluator for `netlist`, building a private arena.
+    /// Creates an evaluator for `netlist`.
     #[must_use]
     pub fn new(netlist: &'a Netlist) -> Self {
-        Evaluator::with_arena(netlist, Arc::new(GateArena::build(netlist)))
-    }
-
-    /// Creates an evaluator sharing a prebuilt `arena` (one arena serves
-    /// every evaluator and fault engine of a campaign).
-    #[must_use]
-    pub fn with_arena(netlist: &'a Netlist, arena: Arc<GateArena>) -> Self {
-        debug_assert_eq!(arena.num_nets(), netlist.num_nets());
         Evaluator {
             netlist,
-            arena,
             values: vec![0; netlist.num_nets()],
         }
     }
@@ -96,15 +84,14 @@ impl<'a> Evaluator<'a> {
 
     /// Evaluates all gates in topological order (fault-free).
     pub fn eval(&mut self) {
-        let arena = Arc::clone(&self.arena);
-        for &g in arena.schedule() {
-            let g = g as usize;
+        let netlist = self.netlist;
+        for g in 0..netlist.num_gates() {
             let values = &self.values;
             let word = eval_gate(
-                arena.kind(g),
-                arena.fanins(g).iter().map(|&f| values[f as usize]),
+                netlist.kind(g),
+                netlist.fanins(g).iter().map(|&f| values[f as usize]),
             );
-            self.values[arena.gate_output(g) as usize] = word;
+            self.values[netlist.gate_output(g) as usize] = word;
         }
     }
 

@@ -60,7 +60,7 @@ fn config(name: &str, threads: usize, budget: Budget) -> SupervisedConfig {
         budget,
         label: name.to_owned(),
         kernel: campaign::Kernel::Narrow,
-        arena: None,
+        ..SupervisedConfig::default()
     }
 }
 

@@ -19,8 +19,6 @@
 //! Random orders are seeded through the workspace SplitMix64, so any
 //! failure reproduces by seed.
 
-use std::sync::Arc;
-
 use scanft_core::generate::{generate, GenConfig};
 use scanft_fsm::rng::SplitMix64;
 use scanft_fsm::uio;
@@ -128,12 +126,11 @@ fn some_wide_cone_spans_more_than_one_worklist_word() {
         .map(|&name| {
             let s = setup(name);
             let netlist = s.circuit.netlist();
-            let arena = scanft_netlist::GateArena::build(netlist);
             let widest = s
                 .faults
                 .chunks(W256::LANES)
                 .filter_map(|batch| {
-                    InjectionPlan::<W256>::event_driven(netlist, &arena, batch)
+                    InjectionPlan::<W256>::event_driven(netlist, batch)
                         .cone()
                         .map(scanft_netlist::FaultCone::num_gates)
                 })
@@ -203,15 +200,12 @@ fn event_driven_equals_full_resimulation_on_every_tractable_circuit() {
         let mut batches: Vec<&[scanft_sim::faults::Fault]> = list.chunks(64).collect();
         sample(&mut batches, 16, &mut rng);
 
-        let arena = Arc::new(scanft_netlist::GateArena::build(netlist));
         let mut full = scanft_sim::engine::FaultEngine::new(netlist);
-        let mut event =
-            scanft_sim::engine::FaultEngine::<u64>::with_arena(netlist, Arc::clone(&arena));
+        let mut event = scanft_sim::engine::FaultEngine::<u64>::new(netlist);
         let mut eval = scanft_sim::logic::Evaluator::new(netlist);
         for batch in batches {
             let full_plan = scanft_sim::engine::InjectionPlan::new(netlist, batch);
-            let event_plan =
-                scanft_sim::engine::InjectionPlan::<u64>::event_driven(netlist, &arena, batch);
+            let event_plan = scanft_sim::engine::InjectionPlan::<u64>::event_driven(netlist, batch);
             let mut skip = 0u64;
             for test in &tests {
                 let trace = eval.record_trace(test);
@@ -262,7 +256,7 @@ fn journal_lines(
         budget,
         label: name.to_owned(),
         kernel,
-        arena: None,
+        ..SupervisedConfig::default()
     };
     let (writer, buffer) = JournalWriter::in_memory();
     let partial = campaign::run_supervised(

@@ -116,9 +116,13 @@ mod tests {
         for (v, val) in vals.iter_mut().enumerate().take(inputs) {
             *val = if point >> v & 1 == 1 { u64::MAX } else { 0 };
         }
-        for (g, gate) in netlist.gates().iter().enumerate() {
-            let ins: Vec<u64> = gate.inputs.iter().map(|&i| vals[i as usize]).collect();
-            vals[netlist.gate_output(g) as usize] = gate.kind.eval_words(&ins);
+        for g in 0..netlist.num_gates() {
+            let ins: Vec<u64> = netlist
+                .fanins(g)
+                .iter()
+                .map(|&i| vals[i as usize])
+                .collect();
+            vals[netlist.gate_output(g) as usize] = netlist.kind(g).eval_words(&ins);
         }
         vals[net as usize] != 0
     }

@@ -58,14 +58,15 @@ pub fn verify_against_table(
         for k in 0..sv {
             values[netlist.ppi(k) as usize] = if code >> k & 1 == 1 { u64::MAX } else { 0 };
         }
-        for (g, gate) in netlist.gates().iter().enumerate() {
+        for g in 0..netlist.num_gates() {
+            let inputs = netlist.fanins(g);
             let mut acc: Option<u64> = None;
             // Evaluate without allocating: fold over inputs by kind.
-            let word = match gate.kind {
-                scanft_netlist::GateKind::Not => !values[gate.inputs[0] as usize],
-                scanft_netlist::GateKind::Buf => values[gate.inputs[0] as usize],
+            let word = match netlist.kind(g) {
+                scanft_netlist::GateKind::Not => !values[inputs[0] as usize],
+                scanft_netlist::GateKind::Buf => values[inputs[0] as usize],
                 kind => {
-                    for &i in &gate.inputs {
+                    for &i in inputs {
                         let v = values[i as usize];
                         acc = Some(match (acc, kind) {
                             (None, _) => v,
@@ -78,7 +79,7 @@ pub fn verify_against_table(
                         });
                     }
                     let a = acc.expect("gates have at least one input");
-                    match gate.kind {
+                    match kind {
                         scanft_netlist::GateKind::Nand | scanft_netlist::GateKind::Nor => !a,
                         _ => a,
                     }

@@ -29,8 +29,9 @@ fn netlist_equals_table() {
         let circuit = synthesize(&table, &config);
         assert!(verify_against_table(&circuit, &table, None).is_ok());
         // All mapped gates respect the fanin bound.
-        for gate in circuit.netlist().gates() {
-            assert!(gate.inputs.len() <= config.max_fanin);
+        let netlist = circuit.netlist();
+        for g in 0..netlist.num_gates() {
+            assert!(netlist.fanins(g).len() <= config.max_fanin);
         }
     }
 }

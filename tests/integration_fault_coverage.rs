@@ -87,8 +87,10 @@ fn bridging_pairs_satisfy_paper_conditions() {
         let bridges = faults::enumerate_bridging(netlist, usize::MAX);
         for f in &bridges.faults {
             for net in [f.a, f.b] {
-                let gate = netlist.driver(net).expect("bridged nets are gate outputs");
-                assert!(gate.inputs.len() > 1, "{name}: condition 1");
+                let gate = netlist
+                    .driver_index(net)
+                    .expect("bridged nets are gate outputs");
+                assert!(netlist.fanins(gate).len() > 1, "{name}: condition 1");
                 assert!(
                     !netlist.fanout(net).is_empty(),
                     "{name}: condition 2 (gate input)"

@@ -3,7 +3,8 @@
 //! Runs the `scanft` binary in a fresh subprocess (the `scanft-obs`
 //! registry is process-wide, so only a fresh process has deterministic
 //! counter values) and pins both the schema of every line and the exact
-//! counter/gauge values for the `lion` walkthrough.
+//! counter/gauge values for the `lion` walkthrough, plus the outputs that
+//! depend on netlist iteration order on two mid-size circuits.
 
 #![allow(clippy::unwrap_used)]
 use std::collections::BTreeMap;
@@ -262,6 +263,99 @@ fn optimize_lion_counters_golden() {
         timers.iter().any(|t| t == "opt.optimize_secs"),
         "timer `opt.optimize_secs` exported"
     );
+}
+
+/// FNV-1a (64-bit) over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Non-timer metric values of one run, by name.
+fn counters(lines: &[String]) -> BTreeMap<String, u64> {
+    lines
+        .iter()
+        .filter(|line| string_field(line, "kind") != "timer")
+        .map(|line| {
+            (
+                string_field(line, "name"),
+                field(line, "value").parse().unwrap(),
+            )
+        })
+        .collect()
+}
+
+/// Outputs that depend on the netlist's fanin and fanout order, pinned on
+/// two mid-size circuits: the optimizer's certificate (its merges and
+/// lemmas follow the closure's iteration order), the implication closure's
+/// size, and pure-ATPG top-up (PODEM's objectives and backtraces walk
+/// fanins in pin order, and fault dropping follows pattern order). lion is
+/// too small for an order change to show.
+#[test]
+fn order_dependent_outputs_on_mid_size_circuits_golden() {
+    struct Pinned {
+        circuit: &'static str,
+        /// The `optimize` certificate: steps, bytes and FNV-1a hash.
+        certificate: (u64, u64, u64),
+        /// Counters of `atpg <circuit> --no-functional`.
+        atpg: [(&'static str, u64); 8],
+    }
+    let cases = [
+        Pinned {
+            circuit: "ex3",
+            certificate: (18, 3153, 0xa2ae_66a1_e9e7_762a),
+            atpg: [
+                ("analyze.implications_learned", 756),
+                ("core.top_up.patterns", 51),
+                ("core.top_up.dropped", 322),
+                ("core.top_up.static_untestable", 1),
+                ("core.top_up.redundant", 0),
+                ("core.top_up.aborted", 0),
+                ("atpg.decisions", 93),
+                ("atpg.backtracks", 1),
+            ],
+        },
+        Pinned {
+            circuit: "dk16",
+            certificate: (437, 77266, 0xa3c0_2b74_1828_08d9),
+            atpg: [
+                ("analyze.implications_learned", 12854),
+                ("core.top_up.patterns", 118),
+                ("core.top_up.dropped", 1252),
+                ("core.top_up.static_untestable", 0),
+                ("core.top_up.redundant", 0),
+                ("core.top_up.aborted", 0),
+                ("atpg.decisions", 225),
+                ("atpg.backtracks", 4),
+            ],
+        },
+    ];
+    for case in &cases {
+        let circuit = case.circuit;
+        let (steps, bytes, hash) = case.certificate;
+        let dir = std::env::temp_dir().join(format!(
+            "scanft-order-golden-{}-{circuit}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let cert = dir.join("cert.txt");
+        let cert_arg = cert.display().to_string();
+        let opt = counters(&run_with_metrics(&[
+            "optimize", circuit, "--cert", &cert_arg,
+        ]));
+        let text = std::fs::read(&cert).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(opt.get("opt.certificate_steps"), Some(&steps), "{circuit}");
+        assert_eq!(opt.get("opt.certificate_bytes"), Some(&bytes), "{circuit}");
+        assert_eq!(text.len() as u64, bytes, "{circuit}: certificate file");
+        assert_eq!(fnv1a(&text), hash, "{circuit}: certificate FNV-1a");
+
+        let atpg = counters(&run_with_metrics(&["atpg", circuit, "--no-functional"]));
+        for &(name, value) in &case.atpg {
+            assert_eq!(atpg.get(name), Some(&value), "{circuit}: {name}");
+        }
+    }
 }
 
 /// `--metrics` without a file streams the export to stdout after the
