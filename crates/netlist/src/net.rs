@@ -408,4 +408,77 @@ mod tests {
         assert!(n.is_connected(5)); // PO
         assert!(n.is_connected(3)); // PPO + fanout
     }
+
+    #[test]
+    fn flat_layout_mirrors_the_builder_input() {
+        // Gate specs in creation order; g3 reads x1 on both pins.
+        let specs: [(GateKind, &[NetId]); 5] = [
+            (GateKind::And, &[0, 1]),
+            (GateKind::Not, &[2]),
+            (GateKind::Or, &[3, 4]),
+            (GateKind::Xor, &[0, 0]),
+            (GateKind::Nand, &[5, 3, 1]),
+        ];
+        let mut b = NetlistBuilder::new(2, 1);
+        for (kind, inputs) in specs {
+            b.add_gate(kind, inputs).unwrap();
+        }
+        let n = b.finish(vec![7], vec![3, 6]).unwrap();
+        assert_eq!(n.num_gates(), specs.len());
+        assert_eq!(n.num_nets(), 3 + specs.len());
+        for (g, (kind, inputs)) in specs.iter().enumerate() {
+            assert_eq!(n.kind(g), *kind, "gate {g}");
+            assert_eq!(n.fanins(g), *inputs, "gate {g}");
+            assert_eq!(n.gate_output(g), (3 + g) as NetId);
+        }
+        // Fanouts are the transpose of the fanins: ascending gate order,
+        // one entry per reading pin.
+        for net in 0..n.num_nets() as NetId {
+            let readers: Vec<u32> = (0..n.num_gates())
+                .flat_map(|g| {
+                    n.fanins(g)
+                        .iter()
+                        .filter(move |&&f| f == net)
+                        .map(move |_| g as u32)
+                })
+                .collect();
+            assert_eq!(n.fanout(net), readers.as_slice(), "net {net}");
+        }
+    }
+
+    #[test]
+    fn gate_order_is_topological_and_levels_agree() {
+        let n = small();
+        let inputs = n.num_pis() + n.num_ppis();
+        for net in 0..inputs as NetId {
+            assert_eq!(n.level(net), 0, "input {net}");
+        }
+        let mut per_level = vec![0usize; n.depth() as usize + 1];
+        for g in 0..n.num_gates() {
+            let out = n.gate_output(g);
+            for &fanin in n.fanins(g) {
+                assert!(fanin < out, "gate {g} before its driver");
+            }
+            let deepest = n.fanins(g).iter().map(|&f| n.level(f)).max().unwrap();
+            assert_eq!(n.level(out), deepest + 1, "gate {g}");
+            per_level[n.level(out) as usize] += 1;
+        }
+        // Every level up to the depth holds a gate, and the levels
+        // partition the gates.
+        assert!(per_level[1..].iter().all(|&count| count > 0));
+        assert_eq!(per_level.iter().sum::<usize>(), n.num_gates());
+    }
+
+    #[test]
+    fn gateless_netlist_has_an_empty_layout() {
+        let b = NetlistBuilder::new(1, 1);
+        let pi = b.pi(0);
+        let ppi = b.ppi(0);
+        let n = b.finish(vec![pi], vec![ppi]).unwrap();
+        assert_eq!(n.num_gates(), 0);
+        assert_eq!(n.num_nets(), 2);
+        assert!(n.fanout(0).is_empty());
+        assert!(n.fanout(1).is_empty());
+        assert_eq!(n.depth(), 0);
+    }
 }
