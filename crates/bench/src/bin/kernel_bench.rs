@@ -2,10 +2,19 @@
 //! re-evaluation) versus wide (256-lane, cone-restricted event-driven
 //! PPSFP) on suite circuits, emitting `BENCH_sim.json`.
 //!
-//! For every circuit the same stuck-at campaign — per-transition length-1
-//! scan tests with fault dropping — runs on both kernels. The kernels are
-//! timed in rounds whose runs alternate between narrow and wide, so both
-//! see the same host conditions; each kernel reports its best round:
+//! For every circuit two campaigns with fault dropping run on both kernels,
+//! one row each:
+//!
+//! * `stuck-at` — the stuck-at universe over per-transition length-1 scan
+//!   tests;
+//! * `bridging` — the bridging universe (`enumerate_bridging(n, 3000)`)
+//!   over the paper's generated functional tests in decreasing-length
+//!   order, the long-test case where the wide kernel drops lanes mid-test
+//!   and sweeps bridge batches twice per cycle.
+//!
+//! The kernels are timed in rounds whose runs alternate between narrow and
+//! wide, so both see the same host conditions; each kernel reports its
+//! best round:
 //!
 //! * `gate_evals_per_sec` — faulty gate evaluations per second, from the
 //!   engines' own counters (the wide kernel evaluates *fewer* gates, not
@@ -17,13 +26,15 @@
 //!
 //! The wide report is compared verdict-for-verdict against the narrow one
 //! before anything is timed as a trusted number; a mismatch exits 1
-//! immediately. `--check` additionally fails the run if any circuit's wide
-//! kernel is slower than its narrow kernel, so CI can gate on regressions.
+//! immediately. `--check` additionally fails the run if the wide kernel is
+//! slower than the narrow one on any row, so CI can gate on regressions.
 //!
 //! Usage: `kernel_bench [--out FILE] [--circuits a,b,c] [--reps N] [--check]`
 
 use std::time::Instant;
 
+use scanft_core::generate::{generate, GenConfig};
+use scanft_netlist::Netlist;
 use scanft_sim::campaign;
 use scanft_sim::faults::{self, Fault};
 use scanft_sim::ScanTest;
@@ -50,6 +61,8 @@ struct Measurement {
 
 struct Row {
     name: String,
+    /// `stuck-at` or `bridging` (see the module docs).
+    campaign: &'static str,
     gates: usize,
     faults: usize,
     tests: usize,
@@ -158,7 +171,7 @@ fn measure_pair(
     (best.0, best.1, ratios[reps / 2])
 }
 
-fn bench_circuit(name: &str, reps: usize) -> Row {
+fn bench_circuit(name: &str, reps: usize) -> [Row; 2] {
     let table = scanft_fsm::benchmarks::build(name).expect("suite circuit");
     let circuit = synthesize(&table, &SynthConfig::default());
     let netlist = circuit.netlist();
@@ -175,22 +188,51 @@ fn bench_circuit(name: &str, reps: usize) -> Row {
         tests.truncate(MAX_TESTS);
     }
     let order: Vec<usize> = (0..tests.len()).collect();
-    let list: Vec<Fault> = faults::as_fault_list(&faults::enumerate_stuck(netlist));
+    let stuck = faults::as_fault_list(&faults::enumerate_stuck(netlist));
 
-    let narrow = || campaign::run_ordered_observing(netlist, &tests, &order, &list, true);
-    let wide = || campaign::run_ordered_wide(netlist, &tests, &order, &list, true);
+    let uios = scanft_fsm::uio::derive_uios(&table, table.num_state_vars());
+    let generated = generate(&table, &uios, &GenConfig::default()).to_scan_tests(&circuit);
+    let generated_order = campaign::decreasing_length_order(&generated);
+    let bridges = faults::bridges_as_fault_list(&faults::enumerate_bridging(netlist, 3000).faults);
+
+    [
+        bench_campaign(name, "stuck-at", netlist, &tests, &order, &stuck, reps),
+        bench_campaign(
+            name,
+            "bridging",
+            netlist,
+            &generated,
+            &generated_order,
+            &bridges,
+            reps,
+        ),
+    ]
+}
+
+fn bench_campaign(
+    name: &str,
+    campaign: &'static str,
+    netlist: &Netlist,
+    tests: &[ScanTest],
+    order: &[usize],
+    list: &[Fault],
+    reps: usize,
+) -> Row {
+    let narrow = || campaign::run_ordered_observing(netlist, tests, order, list, true);
+    let wide = || campaign::run_ordered_wide(netlist, tests, order, list, true);
     let (narrow_report, narrow_evals) = representative(&narrow);
     let (wide_report, wide_evals) = representative(&wide);
 
     // The benchmark is only meaningful if both kernels agree bit-for-bit.
     if wide_report.detecting_test != narrow_report.detecting_test {
-        eprintln!("FAIL: {name}: wide kernel verdicts differ from narrow kernel");
+        eprintln!("FAIL: {name} {campaign}: wide kernel verdicts differ from narrow kernel");
         std::process::exit(1);
     }
 
     let (narrow_seconds, wide_seconds, speedup) = measure_pair(reps, narrow, wide);
     Row {
         name: name.to_owned(),
+        campaign,
         gates: netlist.num_gates(),
         faults: list.len(),
         tests: tests.len(),
@@ -220,25 +262,28 @@ fn main() {
     let (out, circuits, reps, check) = parse_args();
     let mut rows = Vec::new();
     for name in &circuits {
-        let row = bench_circuit(name, reps);
-        println!(
-            "{:<10} {:>5} gates {:>5} faults  narrow {:>12.0} ge/s  wide {:>12.0} ge/s  speedup {:>6.2}x",
-            row.name,
-            row.gates,
-            row.faults,
-            row.narrow.gate_evals as f64 / row.narrow.seconds,
-            row.wide.gate_evals as f64 / row.wide.seconds,
-            row.speedup
-        );
-        rows.push(row);
+        for row in bench_circuit(name, reps) {
+            println!(
+                "{:<10} {:<8} {:>5} gates {:>5} faults  narrow {:>12.0} ge/s  wide {:>12.0} ge/s  speedup {:>6.2}x",
+                row.name,
+                row.campaign,
+                row.gates,
+                row.faults,
+                row.narrow.gate_evals as f64 / row.narrow.seconds,
+                row.wide.gate_evals as f64 / row.wide.seconds,
+                row.speedup
+            );
+            rows.push(row);
+        }
     }
 
     let body: Vec<String> = rows
         .iter()
         .map(|r| {
             format!(
-                "    {{\"name\":\"{}\",\"gates\":{},\"faults\":{},\"tests\":{},\"narrow\":{},\"wide\":{},\"speedup\":{:.2}}}",
+                "    {{\"name\":\"{}\",\"campaign\":\"{}\",\"gates\":{},\"faults\":{},\"tests\":{},\"narrow\":{},\"wide\":{},\"speedup\":{:.2}}}",
                 r.name,
+                r.campaign,
                 r.gates,
                 r.faults,
                 r.tests,
@@ -266,12 +311,12 @@ fn main() {
         if !slow.is_empty() {
             for r in &slow {
                 eprintln!(
-                    "FAIL: {}: wide kernel slower than narrow ({:.2}x < {TOLERANCE:.2}x)",
-                    r.name, r.speedup
+                    "FAIL: {} {}: wide kernel slower than narrow ({:.2}x < {TOLERANCE:.2}x)",
+                    r.name, r.campaign, r.speedup
                 );
             }
             std::process::exit(1);
         }
-        println!("check passed: wide kernel within tolerance of narrow on every circuit");
+        println!("check passed: wide kernel within tolerance of narrow on every row");
     }
 }

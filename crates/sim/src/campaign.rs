@@ -72,9 +72,10 @@ impl KernelWord for u64 {
     }
 }
 
-/// The wide kernel: a cone-restricted plan for stuck-at batches (other
-/// fault models, and cones spanning every gate, get no cone and fall back
-/// to full evaluation).
+/// The wide kernel: a cone-restricted, event-driven plan for stuck-at and
+/// bridging batches, which drops lanes as soon as they are detected, even
+/// inside a test. Delay batches, and stuck-at batches whose cones span
+/// every gate, get no cone and fall back to full evaluation.
 impl KernelWord for W256 {
     const TIMER: &'static str = "sim.campaign.run_wide";
 

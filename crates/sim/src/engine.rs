@@ -30,8 +30,9 @@
 //!
 //! # Event-driven PPSFP
 //!
-//! For stuck-only batches, [`InjectionPlan::event_driven`] additionally
-//! computes the union of the batch's [`FaultCone`]s and
+//! For batches without delay faults, [`InjectionPlan::event_driven`]
+//! additionally computes the union of the batch's [`FaultCone`]s (a
+//! bridge's cone is seeded by both of its nets) and
 //! [`FaultEngine::run_test_event_driven`] evaluates **only** the gates in
 //! that union, reading every other net's value from a precomputed
 //! fault-free [`GoodTrace`]. Within the cone a worklist — one bit per cone
@@ -42,9 +43,20 @@
 //! closed under structural fanout *and* the scan boundary), and a cone
 //! gate with clean fanins, no stem force and no branch force reproduces the
 //! fault-free output exactly — so skipping it cannot change any lane. A
-//! cone union that spans every gate restricts nothing; such a batch runs
-//! the plain full pass, which is cheaper than the worklist bookkeeping.
+//! stuck-only cone union that spans every gate restricts nothing; such a
+//! batch runs the plain full pass, which is cheaper than the worklist
+//! bookkeeping.
+//!
+//! A lane detected at a primary output is dropped before the next cycle of
+//! the same test: it leaves the live mask, and its captured state restarts
+//! from the trace's good next state, so it carries fault-free values (and
+//! costs nothing) for the rest of the test. Bridge batches sweep the
+//! worklist twice per cycle, the event-driven form of the two passes: the
+//! first sweep settles the driven values, the second restarts from the
+//! trace and is seeded by the readers of every tapped net whose wired
+//! value deviates.
 
+use scanft_fsm::InputId;
 use scanft_netlist::{FaultCone, NetId, Netlist};
 
 use crate::faults::{BridgeKind, Fault, FaultSite};
@@ -144,12 +156,15 @@ pub struct InjectionPlan<W: LaneWord = u64> {
     /// CSR offsets into `taps` per net (`num_nets + 1` entries); empty when
     /// the batch has no bridging faults, making the common case branch-free.
     tap_start: Vec<u32>,
+    /// The nets carrying at least one tap, ascending: both nets of every
+    /// bridge of the batch.
+    tapped_nets: Vec<NetId>,
     /// Delay-faulted nets of the batch.
     delays: Vec<DelaySite<W>>,
     has_bridges: bool,
-    /// Union of the batch's fault cones (stuck-only batches built via
-    /// [`InjectionPlan::event_driven`] whose cones leave some gate out);
-    /// `None` forces full re-evaluation.
+    /// Union of the batch's fault cones (batches without delay faults built
+    /// via [`InjectionPlan::event_driven`], except stuck-only ones whose
+    /// cones span every gate); `None` forces full re-evaluation.
     cone: Option<FaultCone>,
     /// PI indices carrying a stem force — the only PIs the event-driven
     /// path must reload per cycle.
@@ -295,6 +310,7 @@ impl<W: LaneWord> InjectionPlan<W> {
         } else {
             csr_offsets(num_nets, tap_nets.iter().copied())
         };
+        tap_nets.dedup();
 
         let forced_pis = (0..netlist.num_pis() as u32)
             .filter(|&k| !stem[netlist.pi(k as usize) as usize].is_noop())
@@ -307,6 +323,7 @@ impl<W: LaneWord> InjectionPlan<W> {
             branch_start,
             taps,
             tap_start,
+            tapped_nets: tap_nets,
             delays,
             has_bridges,
             cone: None,
@@ -316,13 +333,16 @@ impl<W: LaneWord> InjectionPlan<W> {
         }
     }
 
-    /// Builds the plan **and**, for stuck-only batches, the union of the
-    /// batch's fault cones so [`FaultEngine::run_test_event_driven`] can
-    /// restrict evaluation to it. Batches containing bridging or delay
-    /// faults get no cone (their effects are not confined to structural
-    /// fanout) and transparently fall back to full evaluation, and so do
+    /// Builds the plan **and** the union of the batch's fault cones so
+    /// [`FaultEngine::run_test_event_driven`] can restrict evaluation to
+    /// it. A bridge's cone is seeded by both of its nets: a bridge changes
+    /// only what their readers see. Batches containing delay faults get no
+    /// cone (a late reading depends on the previous cycle's driven value)
+    /// and transparently fall back to full evaluation, and so do stuck-only
     /// batches whose cone union spans every gate: such a cone restricts
-    /// nothing, and the full pass costs less than the worklist bookkeeping.
+    /// nothing, and one full pass costs less than the worklist bookkeeping.
+    /// A bridge batch keeps its cone even then, since its full fallback is
+    /// two passes per cycle that read every net through the tap index.
     ///
     /// # Panics
     ///
@@ -330,19 +350,21 @@ impl<W: LaneWord> InjectionPlan<W> {
     #[must_use]
     pub fn event_driven(netlist: &Netlist, faults: &[Fault]) -> Self {
         let mut plan = Self::build(netlist, faults);
-        if plan.has_bridges || plan.has_delays() {
+        if plan.has_delays() {
             return plan;
         }
-        // The seeds are read off the merged plan: every forced net, and
-        // every gate with a forced input pin (`branch` is grouped by gate).
+        // The seeds are read off the merged plan: every forced or tapped
+        // net, and every gate with a forced input pin (`branch` is grouped
+        // by gate).
         let mut seed_nets: Vec<NetId> = Vec::with_capacity(netlist.num_nets());
         seed_nets.extend(
             (0..netlist.num_nets() as NetId).filter(|&net| !plan.stem[net as usize].is_noop()),
         );
+        seed_nets.extend_from_slice(&plan.tapped_nets);
         let mut seed_gates: Vec<u32> = plan.branch.iter().map(|&(g, _, _)| g).collect();
         seed_gates.dedup();
         let cone = FaultCone::compute(netlist, &seed_nets, &seed_gates);
-        if cone.gates.len() == netlist.num_gates() {
+        if !plan.has_bridges && cone.gates.len() == netlist.num_gates() {
             return plan;
         }
         let mut cone_pos = vec![u32::MAX; netlist.num_gates()];
@@ -381,8 +403,8 @@ impl<W: LaneWord> InjectionPlan<W> {
     }
 
     /// The batch's cone union, when built via
-    /// [`InjectionPlan::event_driven`] on a stuck-only batch whose cones
-    /// leave some gate out.
+    /// [`InjectionPlan::event_driven`] on a batch without delay faults
+    /// that has bridging faults or whose cones leave some gate out.
     #[must_use]
     pub fn cone(&self) -> Option<&FaultCone> {
         self.cone.as_ref()
@@ -397,19 +419,33 @@ impl<W: LaneWord> InjectionPlan<W> {
         &self.branch[self.branch_start[g] as usize..self.branch_start[g + 1] as usize]
     }
 
-    fn read(&self, net: NetId, values: &[W], late: &[Force<W>]) -> W {
-        let mut word = values[net as usize];
-        if !self.tap_start.is_empty() {
-            let taps = &self.taps
-                [self.tap_start[net as usize] as usize..self.tap_start[net as usize + 1] as usize];
-            for tap in taps {
-                let wired = match tap.kind {
-                    BridgeKind::And => values[net as usize] & values[tap.partner as usize],
-                    BridgeKind::Or => values[net as usize] | values[tap.partner as usize],
-                };
-                word = (word & !tap.mask) | (wired & tap.mask);
-            }
+    /// Bridge taps on `net` (empty for most nets).
+    #[inline]
+    fn taps_of(&self, net: NetId) -> &[BridgeTap<W>] {
+        if self.tap_start.is_empty() {
+            return &[];
         }
+        &self.taps[self.tap_start[net as usize] as usize..self.tap_start[net as usize + 1] as usize]
+    }
+
+    /// `word`, the value driven onto `net`, as its readers see it: in the
+    /// lanes of each tap on `net` that are also in `live`, the wired
+    /// AND/OR of the two bridged nets' words in `driven`.
+    #[inline]
+    fn tapped(&self, net: NetId, mut word: W, driven: &[W], live: W) -> W {
+        for tap in self.taps_of(net) {
+            let wired = match tap.kind {
+                BridgeKind::And => driven[net as usize] & driven[tap.partner as usize],
+                BridgeKind::Or => driven[net as usize] | driven[tap.partner as usize],
+            };
+            let mask = tap.mask & live;
+            word = (word & !mask) | (wired & mask);
+        }
+        word
+    }
+
+    fn read(&self, net: NetId, values: &[W], late: &[Force<W>]) -> W {
+        let mut word = self.tapped(net, values[net as usize], values, W::ones());
         if let Some(&force) = late.get(net as usize) {
             word = force.apply(word);
         }
@@ -478,8 +514,11 @@ pub struct FaultEngine<'a, W: LaneWord = u64> {
     work: Vec<u64>,
     /// Per-run worklist seeds, as bits over cone positions: the gates
     /// whose forces survive the live-lane mask. Copied into `work` at the
-    /// start of every cycle.
+    /// start of every sweep, and re-derived when lanes are dropped.
     seeds: Vec<u64>,
+    /// Per-net driven words of a bridge batch's tapped nets, snapshot by
+    /// each cycle's first sweep; the other entries are unused.
+    driven: Vec<W>,
     /// Gate evaluations performed since construction (or the last
     /// [`FaultEngine::take_gate_evals`]) — the kernel's work metric.
     gate_evals: u64,
@@ -502,6 +541,7 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
             touched: Vec::new(),
             work: Vec::new(),
             seeds: Vec::new(),
+            driven: Vec::new(),
             gate_evals: 0,
         }
     }
@@ -588,6 +628,12 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
         }
         self.dirty[net as usize] = true;
         self.touched.push(net);
+        self.queue_fanout(plan, net);
+    }
+
+    /// Queues the in-cone gates that read `net`.
+    #[inline]
+    fn queue_fanout(&mut self, plan: &InjectionPlan<W>, net: NetId) {
         for &g in self.netlist.fanout(net) {
             let pos = plan.cone_pos[g as usize];
             if pos != u32::MAX {
@@ -597,11 +643,12 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
     }
 
     /// Evaluates one cone gate against the good trace: clean fanins read
-    /// through from the trace, branch and stem forces applied under the
-    /// live mask; a deviating output is marked dirty and its in-cone
-    /// fanouts queued.
+    /// through from the trace (and, when `BRIDGED`, tapped fanins through
+    /// their live taps), branch and stem forces applied under the live
+    /// mask; a deviating output is marked dirty and its in-cone fanouts
+    /// queued.
     #[inline]
-    fn eval_cone_gate(
+    fn eval_cone_gate<const BRIDGED: bool>(
         &mut self,
         plan: &InjectionPlan<W>,
         trace: &GoodTrace,
@@ -614,14 +661,17 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
         let fanins = netlist.fanins(g);
         let branch = plan.branch_range(g);
         self.gate_evals += 1;
-        let (dirty, values) = (&self.dirty, &self.values);
+        let (dirty, values, driven) = (&self.dirty, &self.values, &self.driven);
+        let read = |f: NetId| {
+            let word = current_word(dirty, values, trace, cycle, f);
+            if BRIDGED {
+                plan.tapped(f, word, driven, live)
+            } else {
+                word
+            }
+        };
         let word = if branch.is_empty() {
-            eval_gate(
-                netlist.kind(g),
-                fanins
-                    .iter()
-                    .map(|&f| current_word(dirty, values, trace, cycle, f)),
-            )
+            eval_gate(netlist.kind(g), fanins.iter().map(|&f| read(f)))
         } else {
             eval_gate(
                 netlist.kind(g),
@@ -629,9 +679,7 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
                     branch
                         .iter()
                         .filter(|b| b.1 as usize == pin)
-                        .fold(current_word(dirty, values, trace, cycle, f), |v, b| {
-                            b.2.masked(live).apply(v)
-                        })
+                        .fold(read(f), |v, b| b.2.masked(live).apply(v))
                 }),
             )
         };
@@ -639,12 +687,107 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
         self.settle(plan, out, word, W::splat_bit(trace.bit(cycle, out)));
     }
 
+    /// Re-derives the worklist seeds over `words` bitset words: the forced
+    /// gates whose forces survive the live mask. Dropped lanes' forces are
+    /// masked to noops, so a mostly-detected batch seeds (and evaluates)
+    /// almost nothing.
+    fn derive_seeds(&mut self, plan: &InjectionPlan<W>, words: usize, live: W) {
+        self.seeds.clear();
+        self.seeds.resize(words, 0);
+        for &(pos, lanes) in &plan.force_gates {
+            if !(lanes & live).is_zero() {
+                set_bit(&mut self.seeds, pos as usize);
+            }
+        }
+    }
+
+    /// Starts a sweep of `cycle`: queues the seeds and settles the forced
+    /// PIs (the only primary inputs that can deviate) and the PPIs, which
+    /// reload the captured faulty state.
+    fn load_cycle(
+        &mut self,
+        plan: &InjectionPlan<W>,
+        trace: &GoodTrace,
+        cycle: usize,
+        input: InputId,
+        state_words: &[W],
+        live: W,
+    ) {
+        let netlist = self.netlist;
+        self.work.copy_from_slice(&self.seeds);
+        for &k in &plan.forced_pis {
+            let net = netlist.pi(k as usize);
+            let good = W::splat_bit(input >> k & 1 == 1);
+            let word = plan.stem[net as usize].masked(live).apply(good);
+            self.settle(plan, net, word, good);
+        }
+        for (k, &word) in state_words.iter().enumerate() {
+            let net = netlist.ppi(k);
+            let word = plan.stem[net as usize].masked(live).apply(word);
+            self.settle(plan, net, word, W::splat_bit(trace.bit(cycle, net)));
+        }
+    }
+
+    /// Drains the worklist lowest position first: every queued gate
+    /// carries a live force or has a fanin that deviates. Cone positions
+    /// follow `cone.gates`, which is topological, so a gate queues its
+    /// fanouts only at positions above its own. A forward sweep that
+    /// re-reads the current word after each evaluation therefore sees every
+    /// event, and runs each gate once per sweep, after all of its fanin
+    /// events.
+    fn drain<const BRIDGED: bool>(
+        &mut self,
+        plan: &InjectionPlan<W>,
+        cone: &FaultCone,
+        trace: &GoodTrace,
+        cycle: usize,
+        live: W,
+    ) {
+        for w in 0..self.work.len() {
+            while self.work[w] != 0 {
+                let bit = self.work[w].trailing_zeros() as usize;
+                self.work[w] &= self.work[w] - 1;
+                let g = cone.gates[w * 64 + bit] as usize;
+                self.eval_cone_gate::<BRIDGED>(plan, trace, cycle, g, live);
+                debug_assert_eq!(
+                    self.work[w] & (u64::MAX >> (63 - bit)),
+                    0,
+                    "a gate queued a fanout at or below its own cone position"
+                );
+            }
+        }
+        debug_assert!(
+            self.work.iter().all(|&w| w == 0),
+            "a gate queued a fanout behind the sweep"
+        );
+    }
+
+    /// Clears the dirty flags, so the next sweep starts from the trace.
+    fn clear_dirty(&mut self) {
+        for net in self.touched.drain(..) {
+            self.dirty[net as usize] = false;
+        }
+    }
+
     /// Event-driven PPSFP variant of [`FaultEngine::run_test_observing`]:
     /// given the fault-free `trace` of `test`, evaluates only the gates of
-    /// the plan's cone union whose fanins deviate from the trace. Falls
-    /// back to full evaluation when the plan carries no cone (non-stuck
-    /// batches, cones spanning every gate, or plans built with
-    /// [`InjectionPlan::build`]).
+    /// the plan's cone union that carry a live force or read a net
+    /// deviating from the trace. Falls back to full evaluation when the
+    /// plan carries no cone (delay batches, stuck-only cones spanning every
+    /// gate, or plans built with [`InjectionPlan::build`]).
+    ///
+    /// A lane detected at a primary output leaves the live mask before the
+    /// next cycle, and its captured state restarts from the good trace's
+    /// next state: with its forces masked off it then carries fault-free
+    /// values and costs nothing for the rest of the test.
+    ///
+    /// A bridge batch sweeps each cycle twice. The first sweep settles the
+    /// driven values and snapshots the tapped nets' words; the second
+    /// restarts from the trace, seeded in addition by the readers of every
+    /// tapped net whose wired value deviates, and reads tapped nets through
+    /// their live taps, as PO observation and PPO capture do. Qualifying
+    /// pairs are non-feedback, so neither driven value depends on the
+    /// bridge and the snapshot is exact.
     ///
     /// Detection results are bit-identical to the full path in every live
     /// lane.
@@ -668,7 +811,7 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
                 observe_scan_out,
             );
         };
-        let live = plan.lane_mask() & !skip_lanes;
+        let mut live = plan.lane_mask() & !skip_lanes;
         if live.is_zero() {
             return W::zero();
         }
@@ -679,19 +822,13 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
         if self.dirty.len() != netlist.num_nets() {
             self.dirty = vec![false; netlist.num_nets()];
         }
+        if plan.has_bridges && self.driven.len() != netlist.num_nets() {
+            self.driven = vec![W::zero(); netlist.num_nets()];
+        }
         debug_assert!(self.touched.is_empty());
 
-        // Worklist seeds for this run: forced gates whose forces survive
-        // the live mask. Dropped lanes' forces are masked to noops, so a
-        // mostly-detected batch seeds (and evaluates) almost nothing.
         let words = cone.gates.len().div_ceil(64);
-        self.seeds.clear();
-        self.seeds.resize(words, 0);
-        for &(pos, lanes) in &plan.force_gates {
-            if !(lanes & live).is_zero() {
-                set_bit(&mut self.seeds, pos as usize);
-            }
-        }
+        self.derive_seeds(plan, words, live);
         self.work.resize(words, 0);
 
         let mut state_words = std::mem::take(&mut self.state_words);
@@ -699,64 +836,59 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
         state_words.extend((0..num_ppis).map(|k| W::splat_bit(test.init_code >> k & 1 == 1)));
 
         for (cycle, &input) in test.inputs.iter().enumerate() {
-            self.work.copy_from_slice(&self.seeds);
-            // Forced PIs: the only primary inputs that can deviate.
-            for &k in &plan.forced_pis {
-                let net = netlist.pi(k as usize);
-                let good = W::splat_bit(input >> k & 1 == 1);
-                let word = plan.stem[net as usize].masked(live).apply(good);
-                self.settle(plan, net, word, good);
-            }
-            // PPIs: reload the captured faulty state every cycle.
-            for (k, &word) in state_words.iter().enumerate() {
-                let net = netlist.ppi(k);
-                let word = plan.stem[net as usize].masked(live).apply(word);
-                self.settle(plan, net, word, W::splat_bit(trace.bit(cycle, net)));
-            }
-            // Drain the worklist lowest position first: every queued gate
-            // carries a live force or has a fanin that deviates. Cone
-            // positions follow `cone.gates`, which is topological, so a
-            // gate queues its fanouts only at positions above its own. A
-            // forward sweep that re-reads the current word after each
-            // evaluation therefore sees every event, and runs each gate
-            // once per cycle, after all of its fanin events.
-            for w in 0..words {
-                while self.work[w] != 0 {
-                    let bit = self.work[w].trailing_zeros() as usize;
-                    self.work[w] &= self.work[w] - 1;
-                    let g = cone.gates[w * 64 + bit] as usize;
-                    self.eval_cone_gate(plan, trace, cycle, g, live);
-                    debug_assert_eq!(
-                        self.work[w] & (u64::MAX >> (63 - bit)),
-                        0,
-                        "a gate queued a fanout at or below its own cone position"
-                    );
+            self.load_cycle(plan, trace, cycle, input, &state_words, live);
+            self.drain::<false>(plan, cone, trace, cycle, live);
+            if plan.has_bridges {
+                for &net in &plan.tapped_nets {
+                    self.driven[net as usize] =
+                        current_word(&self.dirty, &self.values, trace, cycle, net);
                 }
+                self.clear_dirty();
+                self.load_cycle(plan, trace, cycle, input, &state_words, live);
+                for &net in &plan.tapped_nets {
+                    let wired = plan.tapped(net, self.driven[net as usize], &self.driven, live);
+                    if wired != W::splat_bit(trace.bit(cycle, net)) {
+                        self.queue_fanout(plan, net);
+                    }
+                }
+                self.drain::<true>(plan, cone, trace, cycle, live);
             }
-            debug_assert!(
-                self.work.iter().all(|&w| w == 0),
-                "a gate queued a fanout behind the sweep"
-            );
 
-            // Observe POs: only dirty nets can deviate from the reference.
+            // Observe POs: only dirty or tapped nets can deviate from the
+            // reference.
             let ff_out = trace.outputs()[cycle];
+            let mut newly = W::zero();
             for (z, &net) in netlist.pos().iter().enumerate() {
-                if self.dirty[net as usize] {
+                if self.dirty[net as usize] || !plan.taps_of(net).is_empty() {
+                    let word = current_word(&self.dirty, &self.values, trace, cycle, net);
+                    let observed = plan.tapped(net, word, &self.driven, live);
                     let reference = W::splat_bit(ff_out >> z & 1 == 1);
-                    detected |= (self.values[net as usize] ^ reference) & live;
+                    newly |= (observed ^ reference) & live;
                 }
             }
             // Capture next state per lane (good values read through).
             for (slot, &net) in state_words.iter_mut().zip(netlist.ppos()) {
-                *slot = current_word(&self.dirty, &self.values, trace, cycle, net);
+                let word = current_word(&self.dirty, &self.values, trace, cycle, net);
+                *slot = plan.tapped(net, word, &self.driven, live);
             }
-            // Clear the dirty flags so the next cycle starts clean.
-            for net in self.touched.drain(..) {
-                self.dirty[net as usize] = false;
+            self.clear_dirty();
+            if newly.is_zero() {
+                continue;
             }
-            if detected == live {
+            detected |= newly;
+            live &= !newly;
+            if live.is_zero() {
                 self.state_words = state_words;
                 return detected;
+            }
+            // Drop the detected lanes: they restart from the good next
+            // state, and the seeds lose their forces.
+            if cycle + 1 < test.inputs.len() {
+                for (slot, &net) in state_words.iter_mut().zip(netlist.ppos()) {
+                    let good = W::splat_bit(trace.bit(cycle, net));
+                    *slot = (*slot & !newly) | (good & newly);
+                }
+                self.derive_seeds(plan, words, live);
             }
         }
 
@@ -1267,18 +1399,25 @@ mod tests {
 
     #[test]
     fn event_driven_matches_full_resimulation() {
+        // Length-1 tests end at their first detection; the generated
+        // multi-cycle tests also detect lanes mid-test, which the
+        // event-driven path then drops for the rest of the test.
         let c = lion_netlist();
         let n = c.netlist();
         let stuck = crate::faults::enumerate_stuck(n);
         let lion = scanft_fsm::benchmarks::lion();
-        let tests: Vec<ScanTest> = lion
+        let mut tests: Vec<ScanTest> = lion
             .transitions()
             .map(|t| ScanTest::new(u64::from(t.from), vec![t.input]))
             .collect();
+        tests.extend(generated_tests(&lion, &c));
+        assert!(tests.iter().any(|t| t.len() > 2));
         let mut full = FaultEngine::new(n);
         let mut event = FaultEngine::new(n);
+        let mut probe = FaultEngine::new(n);
         let mut evaluator = Evaluator::new(n);
         let mut cones = Vec::new();
+        let mut dropped_mid_test = false;
         for batch in stuck.chunks(64) {
             let faults: Vec<Fault> = batch.iter().copied().map(Fault::Stuck).collect();
             let plan = InjectionPlan::event_driven(n, &faults);
@@ -1294,39 +1433,153 @@ mod tests {
                     let got = event.run_test_event_driven(test, &trace, &plan, skip, false);
                     assert_eq!(got, reference);
                 }
+                if plan.cone().is_some() {
+                    for k in 1..test.len() {
+                        let prefix = ScanTest::new(test.init_code, test.inputs[..k].to_vec());
+                        let ff = logic::simulate(n, &prefix);
+                        dropped_mid_test |=
+                            probe.run_test_observing(&prefix, &ff, &plan, 0, false) != 0;
+                    }
+                }
             }
         }
         // The first batch's cone union spans all 15 gates, so its plan
         // carries no cone and runs the full pass; the second batch's cone
         // leaves gates out and runs event-driven.
         assert_eq!(cones, vec![None, Some(12)]);
+        assert!(
+            dropped_mid_test,
+            "no event-driven lane is detected before a test's last cycle"
+        );
         // The whole point: the event-driven engine does less work.
         assert!(event.gate_evals() < full.gate_evals());
     }
 
+    /// A two-state-bit netlist whose bridged nets are also a PO (`a`) and
+    /// both PPOs (`n0`, `n1`), so observation and capture read through
+    /// taps: `a = AND(x0, p0)`, `o = OR(x1, p1)`, `n0 = XOR(a, p1)`,
+    /// `n1 = NAND(o, x0)`, `z = NOR(o, n0)`; POs `a, z`, PPOs `n0, n1`.
+    /// Returns the netlist and its four non-feedback pairs.
+    fn bridged_state_machine() -> (Netlist, Vec<(NetId, NetId)>) {
+        let mut b = NetlistBuilder::new(2, 2);
+        let (x0, x1, p0, p1) = (b.pi(0), b.pi(1), b.ppi(0), b.ppi(1));
+        let a = b.add_gate(GateKind::And, &[x0, p0]).unwrap();
+        let o = b.add_gate(GateKind::Or, &[x1, p1]).unwrap();
+        let n0 = b.add_gate(GateKind::Xor, &[a, p1]).unwrap();
+        let n1 = b.add_gate(GateKind::Nand, &[o, x0]).unwrap();
+        let z = b.add_gate(GateKind::Nor, &[o, n0]).unwrap();
+        let n = b.finish(vec![a, z], vec![n0, n1]).unwrap();
+        (n, vec![(a, o), (n0, n1), (a, n1), (o, n0)])
+    }
+
+    /// Asserts that the event-driven run equals full re-simulation lane for
+    /// lane on every test, for both observe modes and several skip masks
+    /// (none, every other lane, and the lanes earlier tests detected).
+    fn assert_event_driven_matches_full(n: &Netlist, faults: &[Fault], tests: &[ScanTest]) {
+        let plan = InjectionPlan::event_driven(n, faults);
+        assert!(plan.cone().is_some(), "a bridge batch keeps its cone");
+        let mut full = FaultEngine::new(n);
+        let mut event = FaultEngine::new(n);
+        let mut evaluator = Evaluator::new(n);
+        let mut detected = 0u64;
+        for test in tests {
+            let trace = evaluator.record_trace(test);
+            let ff = trace.response();
+            for skip in [0, 0x5555_5555_5555_5555, detected] {
+                for observe in [true, false] {
+                    let reference = full.run_test_observing(test, &ff, &plan, skip, observe);
+                    let got = event.run_test_event_driven(test, &trace, &plan, skip, observe);
+                    assert_eq!(
+                        got, reference,
+                        "test {test:?} skip {skip:#x} observe {observe}"
+                    );
+                }
+            }
+            detected |= full.run_test(test, &ff, &plan, detected);
+        }
+        assert_ne!(detected, 0, "the tests detect none of the faults");
+    }
+
     #[test]
-    fn event_driven_plan_with_bridges_falls_back_to_full() {
+    fn bridge_batches_keep_a_cone_and_match_full_resimulation() {
+        let bridges = |pairs: &[(NetId, NetId)]| -> Vec<Fault> {
+            pairs
+                .iter()
+                .flat_map(|&(a, b)| {
+                    [BridgeKind::And, BridgeKind::Or]
+                        .map(|kind| Fault::Bridge(BridgingFault { a, b, kind }))
+                })
+                .collect()
+        };
+        // Combinational: a = AND(x1,x2) -> NOT, o = OR(x3,x4) -> NOT. The
+        // bridges' cone spans all four gates and is kept all the same.
         let mut bld = NetlistBuilder::new(4, 0);
         let a = bld.add_gate(GateKind::And, &[0, 1]).unwrap();
         let na = bld.add_gate(GateKind::Not, &[a]).unwrap();
         let o = bld.add_gate(GateKind::Or, &[2, 3]).unwrap();
         let no = bld.add_gate(GateKind::Not, &[o]).unwrap();
-        let n = bld.finish(vec![na, no], vec![]).unwrap();
-        let bridge = Fault::Bridge(BridgingFault {
-            a,
-            b: o,
-            kind: BridgeKind::And,
-        });
-        let plan = InjectionPlan::event_driven(&n, &[bridge]);
-        assert!(plan.cone().is_none(), "bridge batches get no cone");
-        let test = ScanTest::new(0, vec![0b0011]);
-        let mut evaluator = Evaluator::new(&n);
-        let trace = evaluator.record_trace(&test);
-        let mut engine = FaultEngine::new(&n);
+        let comb = bld.finish(vec![na, no], vec![]).unwrap();
+        let faults = bridges(&[(a, o), (a, no), (na, o)]);
+        let plan = InjectionPlan::<u64>::event_driven(&comb, &faults);
         assert_eq!(
-            engine.run_test_event_driven(&test, &trace, &plan, 0, true),
-            1
+            plan.cone().map(FaultCone::num_gates),
+            Some(comb.num_gates())
         );
+        let tests: Vec<ScanTest> = (0..16).map(|x| ScanTest::new(0, vec![x])).collect();
+        assert_event_driven_matches_full(&comb, &faults, &tests);
+
+        // Sequential, with multi-cycle tests from every state: the bridge
+        // effects cross the scan boundary, and lanes detected at a PO are
+        // dropped mid-test. A second batch mixes in every stem stuck-at.
+        let (seq, pairs) = bridged_state_machine();
+        let faults = bridges(&pairs);
+        let plan = InjectionPlan::<u64>::event_driven(&seq, &faults);
+        assert_eq!(plan.cone().map(FaultCone::num_gates), Some(seq.num_gates()));
+        let mut tests = Vec::new();
+        for init in 0..4 {
+            for inputs in 0..64u32 {
+                tests.push(ScanTest::new(
+                    init,
+                    (0..3).map(|k| inputs >> (2 * k) & 3).collect(),
+                ));
+            }
+        }
+        assert_event_driven_matches_full(&seq, &faults, &tests);
+        let mut mixed = faults;
+        mixed.extend(
+            crate::faults::enumerate_stuck(&seq)
+                .into_iter()
+                .filter(|f| matches!(f.site, FaultSite::Net(_)))
+                .map(Fault::Stuck),
+        );
+        assert!(mixed.len() <= 64);
+        assert_event_driven_matches_full(&seq, &mixed, &tests);
+
+        // A tapped net whose driven value deviates through the faulty
+        // state while its wired value does not: sweep 2 must restart from
+        // the trace, or the reader's reader keeps sweep 1's deviation.
+        // a = AND(x0, NOT p), b = AND(x1, x2) = ns, h = OR(a, x1),
+        // k = AND(h, x0) = PO, wired-AND a~b. From p = 0, input 110 makes
+        // the bridge capture 0 against a good 1; then input 001 drives a
+        // to 1 against a good 0, and the bridge pulls its reading to 0.
+        let mut bld = NetlistBuilder::new(3, 1);
+        let (x0, x1, x2, p) = (bld.pi(0), bld.pi(1), bld.pi(2), bld.ppi(0));
+        let np = bld.add_gate(GateKind::Not, &[p]).unwrap();
+        let a = bld.add_gate(GateKind::And, &[x0, np]).unwrap();
+        let b = bld.add_gate(GateKind::And, &[x1, x2]).unwrap();
+        let h = bld.add_gate(GateKind::Or, &[a, x1]).unwrap();
+        let k = bld.add_gate(GateKind::And, &[h, x0]).unwrap();
+        let cancel = bld.finish(vec![k], vec![b]).unwrap();
+        let faults = bridges(&[(a, b)]);
+        let test = ScanTest::new(0, vec![0b110, 0b001]);
+        let ff = logic::simulate(&cancel, &test);
+        let plan = InjectionPlan::<u64>::event_driven(&cancel, &faults);
+        assert_eq!(FaultEngine::new(&cancel).run_test(&test, &ff, &plan, 0), 0);
+        let tests: Vec<ScanTest> = (0..2)
+            .flat_map(|init| (0..64).map(move |x| ScanTest::new(init, vec![x & 7, x >> 3])))
+            .collect();
+        assert!(tests.contains(&test));
+        assert_event_driven_matches_full(&cancel, &faults, &tests);
     }
 
     #[test]
@@ -1457,36 +1710,40 @@ mod tests {
         let _ = InjectionPlan::<W256>::build(n, &faults);
     }
 
-    #[test]
-    fn event_driven_work_on_ex3_is_pinned() {
-        // The worklist runs exactly the gates that carry a live force or
-        // read a deviating net, so its gate count is a fixed property of
-        // the circuit, the faults and the tests. Pinned on ex3's wide
-        // stuck-at batches over its generated tests, with fault dropping
-        // in the paper's decreasing-length order; some batch's cone spans
-        // more than one 64-position worklist word.
-        let table = scanft_fsm::benchmarks::build("ex3").unwrap();
-        let c = synthesize(&table, &SynthConfig::default());
-        let n = c.netlist();
-        let uios = scanft_fsm::uio::derive_uios(&table, table.num_state_vars());
+    /// The generated functional tests of `table`, rebuilt as this crate's
+    /// `ScanTest`: `scanft_core` links its own build of this crate, whose
+    /// `ScanTest` is a different type here.
+    fn generated_tests(
+        table: &scanft_fsm::StateTable,
+        c: &scanft_synth::SynthesizedCircuit,
+    ) -> Vec<ScanTest> {
+        let uios = scanft_fsm::uio::derive_uios(table, table.num_state_vars());
         let set = scanft_core::generate::generate(
-            &table,
+            table,
             &uios,
             &scanft_core::generate::GenConfig::default(),
         );
-        // Rebuilt from the generated tests: `scanft_core` links its own
-        // build of this crate, whose `ScanTest` is a different type here.
-        let tests: Vec<ScanTest> = set
-            .tests
+        set.tests
             .iter()
             .map(|t| ScanTest::new(c.encode_state(t.initial_state), t.inputs.clone()))
-            .collect();
+            .collect()
+    }
+
+    /// Runs `faults` in wide batches over ex3's generated tests, in the
+    /// paper's decreasing-length order with fault dropping, and returns the
+    /// event-driven engine's gate evaluations and those of full
+    /// re-simulation, after checking that both detect the same lanes.
+    fn ex3_campaign_work(faults: impl Fn(&Netlist) -> Vec<Fault>) -> (u64, u64) {
+        let table = scanft_fsm::benchmarks::build("ex3").unwrap();
+        let c = synthesize(&table, &SynthConfig::default());
+        let n = c.netlist();
+        let tests = generated_tests(&table, &c);
         let mut evaluator = Evaluator::new(n);
         let traces: Vec<GoodTrace> = tests.iter().map(|t| evaluator.record_trace(t)).collect();
-        let faults = crate::faults::as_fault_list(&crate::faults::enumerate_stuck(n));
         let mut engine = FaultEngine::<W256>::new(n);
+        let mut full = FaultEngine::<W256>::new(n);
         let mut widest = 0;
-        for batch in faults.chunks(256) {
+        for batch in faults(n).chunks(256) {
             let plan = InjectionPlan::event_driven(n, batch);
             widest = widest.max(plan.cone().map_or(0, FaultCone::num_gates));
             let mut detected = W256::zero();
@@ -1494,11 +1751,36 @@ mod tests {
                 if detected == plan.lane_mask() {
                     break;
                 }
-                detected |=
+                let got =
                     engine.run_test_event_driven(&tests[t], &traces[t], &plan, detected, true);
+                let reference = full.run_test(&tests[t], &traces[t].response(), &plan, detected);
+                assert_eq!(got, reference, "test {t}");
+                detected |= got;
             }
         }
+        // Some batch's cone spans more than one 64-position worklist word.
         assert!(widest > 64, "widest cone union: {widest} gates");
-        assert_eq!(engine.gate_evals(), 44_898);
+        (engine.gate_evals(), full.gate_evals())
+    }
+
+    #[test]
+    fn event_driven_work_on_ex3_is_pinned() {
+        // The worklist runs exactly the gates that carry a live force or
+        // read a deviating net, so its gate count is a fixed property of
+        // the circuit, the faults and the tests. Pinned on ex3's wide
+        // stuck-at batches.
+        let (event, _) =
+            ex3_campaign_work(|n| crate::faults::as_fault_list(&crate::faults::enumerate_stuck(n)));
+        assert_eq!(event, 41_701);
+    }
+
+    #[test]
+    fn event_driven_bridging_work_on_ex3_is_pinned() {
+        // ex3's bridging batches: two sweeps per cycle over the cone of
+        // the bridged nets, against two full passes per cycle.
+        let (event, full) = ex3_campaign_work(|n| {
+            crate::faults::bridges_as_fault_list(&crate::faults::enumerate_bridging(n, 3000).faults)
+        });
+        assert_eq!((event, full), (137_026, 797_680));
     }
 }

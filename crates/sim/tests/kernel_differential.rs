@@ -58,8 +58,9 @@ fn setup(name: &str) -> Setup {
 }
 
 /// The fault universes `evaluate` and `simulate` send through the wide
-/// kernel. Bridging and delay batches get no cone, so they exercise the
-/// wide kernel's full-evaluation fallback.
+/// kernel. Bridging batches run event-driven, two worklist sweeps per
+/// cycle over the cone of the bridged nets; delay batches get no cone, so
+/// they exercise the wide kernel's full-evaluation fallback.
 fn universes(s: &Setup) -> [(&'static str, Vec<Fault>); 3] {
     let n = s.circuit.netlist();
     [
