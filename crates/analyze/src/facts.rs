@@ -10,10 +10,10 @@
 
 use scanft_netlist::NetId;
 
-use crate::Analysis;
+use crate::Implications;
 
 /// Constant nets and net-equivalence classes extracted once from an
-/// [`Analysis`], in a fixed deterministic order.
+/// implication closure, in a fixed deterministic order.
 ///
 /// Constants are `(net, value)` pairs in net order; classes are sorted by
 /// smallest member, each class sorted by net id, singletons omitted —
@@ -27,12 +27,12 @@ pub struct ConstFacts {
 }
 
 impl ConstFacts {
-    /// Extracts the fact set from a precomputed analysis.
+    /// Extracts the fact set from a computed closure.
     #[must_use]
-    pub fn of(analysis: &Analysis) -> Self {
-        let constants = analysis.implications.constants();
-        let classes = analysis.implications.equivalence_classes();
-        let mut constant_of = vec![None; analysis.implications.num_nets()];
+    pub fn of(implications: &Implications) -> Self {
+        let constants = implications.constants();
+        let classes = implications.equivalence_classes();
+        let mut constant_of = vec![None; implications.num_nets()];
         for &(net, value) in &constants {
             constant_of[net as usize] = Some(value);
         }
@@ -78,10 +78,10 @@ mod tests {
         let g2 = b.add_gate(GateKind::And, &[0, 1]).unwrap();
         let z = b.add_gate(GateKind::Or, &[c, g1, g2]).unwrap();
         let n = b.finish(vec![z], vec![]).unwrap();
-        let analysis = Analysis::new(&n);
-        let facts = ConstFacts::of(&analysis);
-        assert_eq!(facts.constants(), analysis.implications.constants());
-        assert_eq!(facts.classes(), analysis.implications.equivalence_classes());
+        let implications = Implications::new(&n);
+        let facts = ConstFacts::of(&implications);
+        assert_eq!(facts.constants(), implications.constants());
+        assert_eq!(facts.classes(), implications.equivalence_classes());
         assert_eq!(facts.constant(c), Some(false));
         assert_eq!(facts.constant(0), None);
         assert!(facts

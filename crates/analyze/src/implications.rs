@@ -95,6 +95,70 @@ pub struct Implications {
     learned: u64,
 }
 
+/// How [`Implications::with_history`] reached its closure: every learned
+/// pair and constant with the round and sweep that found it, so a prover
+/// can re-derive any of them over exactly the edges and constants its
+/// discovery used, without re-running the learning.
+///
+/// Literals are coded as `2 * net + value`.
+#[derive(Debug, Clone, Default)]
+pub struct History {
+    learned: Vec<(u32, u32)>,
+    round_starts: Vec<u32>,
+    constants: Vec<FoundConstant>,
+    /// Sweeps run so far.
+    sweeps: u32,
+}
+
+impl History {
+    /// Learned pairs `(l, m)` in discovery order: propagating literal `l`
+    /// reached literal `m`, so the closure added the contrapositive edge
+    /// `¬m ⇒ ¬l`, pushed onto `¬m`'s edge list in this order.
+    #[must_use]
+    pub fn learned(&self) -> &[(u32, u32)] {
+        &self.learned
+    }
+
+    /// The learned count at the start of each round: round `r`'s sweeps
+    /// propagated with the edges of the first `round_starts()[r]` learned
+    /// pairs, and the pairs it learned follow them.
+    #[must_use]
+    pub fn round_starts(&self) -> &[u32] {
+        &self.round_starts
+    }
+
+    /// The round that learned pair `idx` (an index into
+    /// [`History::learned`]).
+    #[must_use]
+    pub fn round_of(&self, idx: usize) -> usize {
+        self.round_starts
+            .partition_point(|&start| start as usize <= idx)
+            - 1
+    }
+
+    /// Every constant in discovery order, each listed once.
+    #[must_use]
+    pub fn constants(&self) -> &[FoundConstant] {
+        &self.constants
+    }
+}
+
+/// A constant net as the closure found it: in sweep `sweep` of round
+/// `round`, propagating `net = !value` conflicted. That sweep seeded the
+/// constants of all earlier sweeps and no others.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FoundConstant {
+    /// The constant net.
+    pub net: NetId,
+    /// Its constant value.
+    pub value: bool,
+    /// The learning round whose sweep found it (see
+    /// [`History::round_starts`]).
+    pub round: u32,
+    /// The sweep that found it, counted over the whole run.
+    pub sweep: u32,
+}
+
 impl Implications {
     /// Runs static learning over `netlist` to a fixpoint.
     ///
@@ -103,6 +167,13 @@ impl Implications {
     /// `analyze.implications_learned` counter record the work done.
     #[must_use]
     pub fn new(netlist: &Netlist) -> Self {
+        Self::with_history(netlist).0
+    }
+
+    /// [`Implications::new`], also returning the learning [`History`] a
+    /// certifying prover replays.
+    #[must_use]
+    pub fn with_history(netlist: &Netlist) -> (Self, History) {
         let obs = scanft_obs::global();
         let _span = obs.timer("analyze.implications_secs").start();
         let n = netlist.num_nets();
@@ -116,13 +187,15 @@ impl Implications {
             constant: vec![None; n],
             learned: 0,
         };
-        // Learned contrapositive edges, per source literal, plus a set to
-        // keep the count of distinct learned pairs exact across rounds.
+        // Learned contrapositive edges, per source literal. No pair is
+        // learned twice: once `¬b ⇒ ¬a` is an edge, every later row of the
+        // feasible literal `¬b` carries `¬a`, which the row test sees.
         let mut edges: Vec<Vec<u32>> = vec![Vec::new(); lits];
-        let mut known: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
         let mut prop = Propagator::new(netlist);
+        let mut history = History::default();
         for _round in 0..MAX_ROUNDS {
-            engine.close_all(netlist, &edges, &mut prop);
+            history.round_starts.push(history.learned.len() as u32);
+            engine.close_all(netlist, &edges, &mut prop, &mut history);
             let mut grew = false;
             for l in 0..lits {
                 if engine.infeasible[l] || engine.constant[lit_net(l) as usize].is_some() {
@@ -135,10 +208,9 @@ impl Implications {
                     }
                     // a ⇒ b learned as ¬b ⇒ ¬a, unless the closure of ¬b
                     // already carries ¬a.
-                    if !engine.row_bit(neg(m), neg(l))
-                        && known.insert((neg(m) as u32, neg(l) as u32))
-                    {
+                    if !engine.row_bit(neg(m), neg(l)) {
                         edges[neg(m)].push(neg(l) as u32);
+                        history.learned.push((l as u32, m as u32));
                         grew = true;
                     }
                 }
@@ -147,21 +219,30 @@ impl Implications {
                 break;
             }
         }
-        engine.learned = known.len() as u64;
+        engine.learned = history.learned.len() as u64;
         obs.counter("analyze.implications_learned")
             .add(engine.learned);
         obs.counter("analyze.implications.literals")
             .add(lits as u64);
-        engine
+        (engine, history)
     }
 
     /// Recomputes every literal's closure row with the current learned
-    /// edges and constants.
-    fn close_all(&mut self, netlist: &Netlist, edges: &[Vec<u32>], prop: &mut Propagator) {
+    /// edges and constants, logging each new constant into `history`.
+    fn close_all(
+        &mut self,
+        netlist: &Netlist,
+        edges: &[Vec<u32>],
+        prop: &mut Propagator,
+        history: &mut History,
+    ) {
         let lits = 2 * self.num_nets;
+        let round = history.round_starts.len() as u32 - 1;
         // Constants may be discovered mid-sweep; sweeping until stable keeps
         // every row consistent with the full constant set.
         loop {
+            let sweep = history.sweeps;
+            history.sweeps += 1;
             let constants: Vec<(NetId, bool)> = self
                 .constant
                 .iter()
@@ -188,6 +269,14 @@ impl Implications {
                         }
                     }
                     Err(Conflict) => {
+                        if self.constant[net as usize].is_none() {
+                            history.constants.push(FoundConstant {
+                                net,
+                                value: !lit_value(l),
+                                round,
+                                sweep,
+                            });
+                        }
                         self.infeasible[l] = true;
                     }
                 }
@@ -608,6 +697,96 @@ mod tests {
         // But XOR out + one input pins the other input... only under a seed
         // containing two literals, which single-literal closure cannot see.
         assert!(!imp.implies(x, true, 0, true));
+    }
+
+    #[test]
+    fn history_rederives_every_pair_and_constant_on_the_suite() {
+        // The circuits crates/opt/tests/agreement.rs optimizes: the prover
+        // replays exactly these records, so each must re-derive by plain
+        // propagation over the edges its round started with.
+        use scanft_fsm::benchmarks;
+        use scanft_synth::{synthesize, SynthConfig};
+        for spec in benchmarks::CIRCUITS {
+            if spec.num_transitions() > 2048 {
+                continue;
+            }
+            let table = benchmarks::build(spec.name).unwrap();
+            let circuit = synthesize(&table, &SynthConfig::default());
+            let n = circuit.netlist();
+            let (imp, history) = Implications::with_history(n);
+            let name = spec.name;
+
+            let mut logged: Vec<(NetId, bool)> = history
+                .constants()
+                .iter()
+                .map(|c| (c.net, c.value))
+                .collect();
+            logged.sort_unstable();
+            assert_eq!(logged, imp.constants(), "{name}: constant log");
+            let distinct: std::collections::HashSet<&(u32, u32)> =
+                history.learned().iter().collect();
+            assert_eq!(
+                distinct.len(),
+                history.learned().len(),
+                "{name}: pair learned twice"
+            );
+
+            // The logged constants `keep` selects, in net order as the
+            // engine seeds them.
+            let seeds = |keep: &dyn Fn(&FoundConstant) -> bool| {
+                let mut seeds: Vec<(NetId, bool)> = history
+                    .constants()
+                    .iter()
+                    .filter(|c| keep(c))
+                    .map(|c| (c.net, c.value))
+                    .collect();
+                seeds.sort_unstable();
+                seeds
+            };
+            let learned = history.learned();
+            let starts = history.round_starts();
+            let mut edges: Vec<Vec<u32>> = vec![Vec::new(); 2 * n.num_nets()];
+            let mut pushed = 0;
+            let mut prop = Propagator::new(n);
+            for (round, &start) in starts.iter().enumerate() {
+                let start = start as usize;
+                let end = starts.get(round + 1).map_or(learned.len(), |&e| e as usize);
+                for &(l, m) in &learned[pushed..start] {
+                    edges[neg(m as usize)].push(neg(l as usize) as u32);
+                }
+                pushed = start;
+                for c in history
+                    .constants()
+                    .iter()
+                    .filter(|c| c.round as usize == round)
+                {
+                    let before = seeds(&|d| d.sweep < c.sweep);
+                    let seed = lit(c.net, !c.value);
+                    assert!(
+                        prop.propagate(n, &edges, &before, seed).is_err(),
+                        "{name}: constant {c:?} does not re-derive"
+                    );
+                }
+                let known = seeds(&|d| d.round as usize <= round);
+                let mut seeded = None;
+                for (idx, &(l, m)) in learned.iter().enumerate().take(end).skip(start) {
+                    assert_eq!(history.round_of(idx), round, "{name}: pair {idx}");
+                    if seeded != Some(l) {
+                        assert!(
+                            prop.propagate(n, &edges, &known, l as usize).is_ok(),
+                            "{name}: seed of pair {idx} conflicts"
+                        );
+                        seeded = Some(l);
+                    }
+                    let m = m as usize;
+                    assert_eq!(
+                        prop.values[lit_net(m) as usize],
+                        Some(lit_value(m)),
+                        "{name}: pair {idx} does not re-derive under its round's edges"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod scoap;
 pub use diag::{Diagnostic, LintCode, LintLevels, LintReport, Severity, ALL_LINTS};
 pub use facts::ConstFacts;
 pub use fsm_lints::{lint_kiss_source, lint_state_table, FsmLintConfig};
-pub use implications::Implications;
+pub use implications::{FoundConstant, History, Implications};
 pub use netlist_lints::{lint_import_error, lint_netlist, NetlistLintConfig};
 pub use prune::{
     is_fire_untestable, is_statically_untestable, is_statically_untestable_with, prune_untestable,

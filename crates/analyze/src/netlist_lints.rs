@@ -174,7 +174,7 @@ pub fn lint_netlist(
     // (`ConstFacts`) the `scanft-opt` rewriter folds, so lint and optimizer
     // cannot disagree. SCOAP-uncontrollable nets are already denied above;
     // this catches the reconvergence-made constants SCOAP cannot see.
-    let facts = ConstFacts::of(analysis);
+    let facts = ConstFacts::of(&analysis.implications);
     for &(net, value) in facts.constants() {
         if !netlist.is_connected(net) || scoap.is_uncontrollable(net, !value) {
             continue; // already dangling or uncontrollable

@@ -172,7 +172,7 @@ mod tests {
         let z = b.add_gate(GateKind::Or, &[c, 0]).unwrap();
         let n = b.finish(vec![z], vec![]).unwrap();
         let fwd = forward_constants(&n);
-        let facts = ConstFacts::of(&scanft_analyze::Analysis::new(&n));
+        let facts = ConstFacts::of(&scanft_analyze::Implications::new(&n));
         // Subset property: every forward constant is a closure constant.
         for &(net, v) in &fwd {
             assert_eq!(facts.constant(net), Some(v));

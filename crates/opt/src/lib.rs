@@ -84,22 +84,18 @@ pub struct Optimized {
     pub stats: OptStats,
 }
 
-/// Optimizes `netlist`, computing the implication closure internally.
+/// Optimizes `netlist`: computes its implication closure with the learning
+/// history, certifies the closure's constants and the facts the rewrites
+/// cite from that history, and rewrites.
 #[must_use]
 pub fn optimize(netlist: &Netlist) -> Optimized {
-    optimize_with(netlist, &scanft_analyze::Analysis::new(netlist))
-}
-
-/// Optimizes `netlist` reusing an already-computed `analysis` (the server
-/// caches one per circuit).
-#[must_use]
-pub fn optimize_with(netlist: &Netlist, analysis: &scanft_analyze::Analysis) -> Optimized {
+    let (implications, history) = scanft_analyze::Implications::with_history(netlist);
     let obs = scanft_obs::global();
     let _timer = obs.timer("opt.optimize_secs").start();
-    let facts = scanft_analyze::ConstFacts::of(analysis);
+    let facts = scanft_analyze::ConstFacts::of(&implications);
     let dataflow_constants = dataflow::forward_constants(netlist).len();
     let mut cert = Certificate::begin(netlist.num_pis(), netlist.num_ppis(), netlist.num_gates());
-    let mut prover = prover::Prover::new(netlist, &mut cert);
+    let mut prover = prover::Prover::new(netlist, history, &mut cert);
     let (reduced, map, rw) = rewrite::run(netlist, &facts, &mut prover, &mut cert);
     let stats = OptStats {
         original_gates: netlist.num_gates(),

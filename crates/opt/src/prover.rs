@@ -1,10 +1,14 @@
-//! Fact prover: re-derives the static-learning closure with antecedent
-//! tracking, so every constant and implication the optimizer folds carries
-//! a replayable unit-propagation trace in the certificate.
+//! Fact prover: certifies the facts of the static-learning closure with
+//! antecedent tracking, so every constant and implication the optimizer
+//! folds carries a replayable unit-propagation trace in the certificate.
 //!
-//! The algorithm mirrors `scanft_analyze::Implications` step for step —
-//! same propagation rules, same contrapositive learning, same round
-//! structure and filters — so the fact set it certifies is exactly the one
+//! The prover does not learn. `scanft_analyze::Implications::with_history`
+//! records how its closure grew — each learned pair with the round that
+//! found it, the learned count at the start of every round, and each
+//! constant with the sweep that found it — and the prover replays that
+//! [`History`]: its edge lists are the recorded pairs in push order, and
+//! every re-derivation propagates over exactly the edges and constants
+//! the discovery used. The certified fact set is therefore the one
 //! [`scanft_analyze::ConstFacts`] reports (the agreement tests pin this on
 //! every suite circuit). The difference is bookkeeping: each assignment
 //! remembers *why* it was forced (seed, certified constant, gate rule, or
@@ -12,27 +16,27 @@
 //! trace for any derived literal or conflict and emit it as a `const` or
 //! `lemma` certificate step ([`crate::certificate`]).
 //!
-//! Learned implications are certified *lazily*: the closure records them as
-//! internal edges and a certificate lemma is emitted only when an emitted
-//! trace cites one (recursively certifying the lemma's own trace first).
-//! The closure learns millions of pairs on the larger suite machines while
-//! the rewrites cite only thousands; eager emission produced a 2 GB
-//! certificate for `keyb` where the lazy log stays in the megabytes, with
-//! the identical fact set.
+//! Constants are certified up front, in discovery order. Learned
+//! implications are certified *lazily*: a certificate lemma is emitted only
+//! when an emitted trace cites one (recursively certifying the lemma's own
+//! trace first). The closure learns millions of pairs on the larger suite
+//! machines while the rewrites cite only thousands; eager emission
+//! produced a 2 GB certificate for `keyb` where the lazy log stays in the
+//! megabytes, with the identical fact set.
 //!
-//! Soundness is inherited from the mirrored engine; *checkability* is the
-//! new property: the independent checker re-verifies every trace entry from
-//! gate semantics alone, so a bug in this module (or in the engine it
-//! mirrors) surfaces as a rejected certificate, never as a silently wrong
-//! netlist.
+//! Soundness does not rest on this module or on the closure it replays:
+//! the independent checker re-verifies every trace entry from gate
+//! semantics alone, so a bug in either surfaces as a rejected certificate,
+//! never as a silently wrong netlist.
 
 use std::collections::HashMap;
 
+use scanft_analyze::History;
 use scanft_netlist::{GateKind, NetId, Netlist};
 
 use crate::certificate::{Certificate, Reason, TraceEntry};
 
-/// Index of a literal: `2 * net + value`.
+/// Index of a literal: `2 * net + value` (the coding [`History`] uses).
 fn lit(net: NetId, value: bool) -> usize {
     2 * net as usize + usize::from(value)
 }
@@ -49,9 +53,6 @@ fn neg(l: usize) -> usize {
     l ^ 1
 }
 
-/// Same learning-round bound as the mirrored engine.
-const MAX_ROUNDS: usize = 8;
-
 /// A learned contrapositive edge: applying it cites the *internal* learned
 /// lemma that proved the forward direction (certified on first citation).
 #[derive(Debug, Clone, Copy)]
@@ -60,115 +61,98 @@ struct Edge {
     lemma: u32,
 }
 
-/// One learned implication `l ⇒ m`, certified lazily: a certificate lemma
-/// is emitted only when a trace that reaches the log actually cites it.
-/// `limit` is the number of learned lemmas that existed when this round's
-/// rows were computed, so re-deriving the trace uses exactly the edge set
-/// the discovery used — and every lemma it cites has a strictly smaller
-/// index, which keeps the on-demand emission well-founded.
-#[derive(Debug, Clone, Copy)]
-struct Learned {
-    l: u32,
-    m: u32,
-    limit: u32,
-    cert_id: Option<u32>,
-}
-
-/// The closure re-derivation with certificate emission.
+/// Certificate emission over a recorded closure.
 pub struct Prover {
-    num_nets: usize,
-    words_per_row: usize,
-    rows: Vec<u64>,
-    infeasible: Vec<bool>,
+    history: History,
     constant: Vec<Option<bool>>,
     edges: Vec<Vec<Edge>>,
-    learned: Vec<Learned>,
-    /// Internal index of each learned implication, keyed by
-    /// (from-literal, to-literal).
-    learned_ids: HashMap<(u32, u32), u32>,
-    /// Certificate lemmas already emitted, keyed the same way.
+    /// Certificate lemma id of each learned pair, once emitted.
+    cert_ids: Vec<Option<u32>>,
+    /// Certificate lemmas served by [`Prover::prove_implication`], keyed
+    /// by (from-literal, to-literal).
     lemma_ids: HashMap<(u32, u32), u32>,
     prop: Tracked,
 }
 
 impl Prover {
-    /// Runs tracked static learning over `netlist`, emitting a `const` step
-    /// into `cert` for every constant as it is discovered. Learned
-    /// implications are recorded internally only; their lemmas reach the
-    /// certificate on first citation (see `Learned`), so the log carries
-    /// exactly the facts the rewrites depend on, not the full closure —
-    /// which runs to millions of learned pairs on the larger machines.
+    /// Replays `history`, the learning record of `netlist`'s closure,
+    /// emitting a `const` step into `cert` for every constant in discovery
+    /// order. Each is re-derived over the edges of its round and the
+    /// constants of the sweeps before its own. Learned implications reach
+    /// the certificate only on first citation (see
+    /// [`Prover::prove_implication`]), so the log carries exactly the facts
+    /// the rewrites depend on, not the full closure.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a recorded constant's conflict does not re-derive: the
+    /// history does not belong to `netlist`.
     #[must_use]
-    pub fn new(netlist: &Netlist, cert: &mut Certificate) -> Self {
+    pub fn new(netlist: &Netlist, history: History, cert: &mut Certificate) -> Self {
         let n = netlist.num_nets();
-        let lits = 2 * n;
-        let words_per_row = lits.div_ceil(64).max(1);
+        let mut edges: Vec<Vec<Edge>> = vec![Vec::new(); 2 * n];
+        for (idx, &(l, m)) in history.learned().iter().enumerate() {
+            edges[neg(m as usize)].push(Edge {
+                target: neg(l as usize) as u32,
+                lemma: idx as u32,
+            });
+        }
         let mut prover = Prover {
-            num_nets: n,
-            words_per_row,
-            rows: vec![0u64; lits * words_per_row],
-            infeasible: vec![false; lits],
+            cert_ids: vec![None; history.learned().len()],
+            history,
             constant: vec![None; n],
-            edges: vec![Vec::new(); lits],
-            learned: Vec::new(),
-            learned_ids: HashMap::new(),
+            edges,
             lemma_ids: HashMap::new(),
             prop: Tracked::new(n),
         };
-        for _round in 0..MAX_ROUNDS {
-            prover.close_all(netlist, cert);
-            let mut to_learn: Vec<(usize, usize)> = Vec::new();
-            for l in 0..lits {
-                if prover.infeasible[l] || prover.constant[lit_net(l) as usize].is_some() {
-                    continue;
+        // A sweep's constants join the seeds only once the sweep is over.
+        let found = prover.history.constants().to_vec();
+        let mut pending: Vec<(NetId, bool)> = Vec::new();
+        let mut sweep = None;
+        for c in found {
+            if sweep != Some(c.sweep) {
+                for (net, value) in pending.drain(..) {
+                    prover.constant[net as usize] = Some(value);
                 }
-                let row = &prover.rows[l * words_per_row..(l + 1) * words_per_row];
-                for m in iter_bits(row) {
-                    if m == l || prover.infeasible[neg(m)] {
-                        continue;
-                    }
-                    if !prover.row_bit(neg(m), neg(l))
-                        && !prover.learned_ids.contains_key(&(l as u32, m as u32))
-                    {
-                        to_learn.push((l, m));
-                    }
-                }
+                sweep = Some(c.sweep);
             }
-            if to_learn.is_empty() {
-                break;
-            }
-            // Every pair of this round shares the round-start lemma count:
-            // the rows that justified them were computed with exactly the
-            // first `limit` learned edges.
-            let limit = prover.learned.len() as u32;
-            for (l, m) in to_learn {
-                let idx = prover.learned.len() as u32;
-                prover.learned.push(Learned {
-                    l: l as u32,
-                    m: m as u32,
-                    limit,
-                    cert_id: None,
-                });
-                prover.learned_ids.insert((l as u32, m as u32), idx);
-                prover.edges[neg(m)].push(Edge {
-                    target: neg(l) as u32,
-                    lemma: idx,
-                });
-            }
+            let limit = prover.history.round_starts()[c.round as usize];
+            let outcome = prover.prop.propagate(
+                netlist,
+                &prover.edges,
+                &prover.constant,
+                c.net,
+                !c.value,
+                limit,
+            );
+            assert!(
+                outcome.is_err(),
+                "recorded constant must re-derive its conflict"
+            );
+            // Extract before certifying: emitting cited lemmas reuses the
+            // propagator.
+            let raw = prover.prop.extract_conflict();
+            let trace = prover.certify_trace(netlist, cert, raw);
+            cert.const_step(c.net, c.value, &trace);
+            pending.push((c.net, c.value));
+        }
+        for (net, value) in pending {
+            prover.constant[net as usize] = Some(value);
         }
         prover
     }
 
-    /// Emits (or reuses) the certificate lemma for learned implication
-    /// `idx`, first certifying every lemma its trace cites. Terminates
-    /// because the re-derivation only uses edges below `limit`, so every
-    /// citation has a strictly smaller index.
+    /// Emits (or reuses) the certificate lemma for learned pair `idx`,
+    /// first certifying every lemma its trace cites. Terminates because
+    /// the re-derivation only uses the edges its round started with, so
+    /// every citation has a strictly smaller index.
     fn require_lemma(&mut self, netlist: &Netlist, cert: &mut Certificate, idx: u32) -> u32 {
-        if let Some(id) = self.learned[idx as usize].cert_id {
+        if let Some(id) = self.cert_ids[idx as usize] {
             return id;
         }
-        let Learned { l, m, limit, .. } = self.learned[idx as usize];
+        let (l, m) = self.history.learned()[idx as usize];
         let (l, m) = (l as usize, m as usize);
+        let limit = self.history.round_starts()[self.history.round_of(idx as usize)];
         // Constants certified since discovery only add seeded facts, so the
         // re-derivation either still reaches `m` or conflicts outright — in
         // which case the seed literal is infeasible and the conflict trace
@@ -194,7 +178,7 @@ impl Prover {
         };
         let trace = self.certify_trace(netlist, cert, raw);
         let id = cert.lemma(lit_net(l), lit_value(l), lit_net(m), lit_value(m), &trace);
-        self.learned[idx as usize].cert_id = Some(id);
+        self.cert_ids[idx as usize] = Some(id);
         id
     }
 
@@ -213,74 +197,6 @@ impl Prover {
             }
         }
         raw
-    }
-
-    /// Recomputes every literal's row, emitting `const` steps for conflicts
-    /// as they surface (mirrors the engine's `close_all`).
-    fn close_all(&mut self, netlist: &Netlist, cert: &mut Certificate) {
-        let lits = 2 * self.num_nets;
-        loop {
-            for l in 0..lits {
-                let net = lit_net(l);
-                if let Some(c) = self.constant[net as usize] {
-                    self.infeasible[l] = c != lit_value(l);
-                    if self.infeasible[l] {
-                        continue;
-                    }
-                }
-                match self.prop.propagate(
-                    netlist,
-                    &self.edges,
-                    &self.constant,
-                    net,
-                    lit_value(l),
-                    u32::MAX,
-                ) {
-                    Ok(()) => {
-                        self.infeasible[l] = false;
-                        let row =
-                            &mut self.rows[l * self.words_per_row..(l + 1) * self.words_per_row];
-                        row.fill(0);
-                        for &tnet in &self.prop.trail {
-                            let v = self.prop.values[tnet as usize].unwrap_or(false);
-                            let m = lit(tnet, v);
-                            row[m / 64] |= 1 << (m % 64);
-                        }
-                    }
-                    Err(()) => {
-                        if !self.infeasible[l] && self.constant[net as usize].is_none() {
-                            // First proof of this conflict: certify the
-                            // constant at the complement value right away,
-                            // so later traces may cite it. Extract before
-                            // certifying — emitting cited lemmas reuses the
-                            // propagator.
-                            let raw = self.prop.extract_conflict();
-                            let trace = self.certify_trace(netlist, cert, raw);
-                            cert.const_step(net, !lit_value(l), &trace);
-                        }
-                        self.infeasible[l] = true;
-                    }
-                }
-            }
-            let mut new_constant = false;
-            for net in 0..self.num_nets {
-                if self.constant[net].is_none() {
-                    for v in [false, true] {
-                        if self.infeasible[lit(net as NetId, v)] {
-                            self.constant[net] = Some(!v);
-                            new_constant = true;
-                        }
-                    }
-                }
-            }
-            if !new_constant {
-                return;
-            }
-        }
-    }
-
-    fn row_bit(&self, l: usize, m: usize) -> bool {
-        self.rows[l * self.words_per_row + m / 64] >> (m % 64) & 1 == 1
     }
 
     fn prove_pair(
@@ -323,13 +239,16 @@ impl Prover {
         if let Some(&id) = self.lemma_ids.get(&(la as u32, lb as u32)) {
             return Some(id);
         }
-        // A learned closure edge covers the pair: certify that lemma.
-        if let Some(&idx) = self.learned_ids.get(&(la as u32, lb as u32)) {
-            let id = self.require_lemma(netlist, cert, idx);
-            self.lemma_ids.insert((la as u32, lb as u32), id);
-            return Some(id);
-        }
-        let id = self.prove_pair(netlist, cert, la, lb)?;
+        // A learned pair covers the implication when its contrapositive
+        // edge `¬b ⇒ ¬a` exists: certify that lemma.
+        let learned = self.edges[neg(lb)]
+            .iter()
+            .find(|e| e.target as usize == neg(la))
+            .map(|e| e.lemma);
+        let id = match learned {
+            Some(idx) => self.require_lemma(netlist, cert, idx),
+            None => self.prove_pair(netlist, cert, la, lb)?,
+        };
         self.lemma_ids.insert((la as u32, lb as u32), id);
         Some(id)
     }
@@ -349,21 +268,6 @@ impl Prover {
             .filter_map(|(net, c)| c.map(|v| (net as NetId, v)))
             .collect()
     }
-}
-
-/// Iterates the set bit positions of a bitset row.
-fn iter_bits(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    row.iter().enumerate().flat_map(|(w, &bits)| {
-        let mut bits = bits;
-        std::iter::from_fn(move || {
-            if bits == 0 {
-                return None;
-            }
-            let b = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            Some(w * 64 + b)
-        })
-    })
 }
 
 /// One tracked assignment: the forced value, its reason, and the nets whose
@@ -645,11 +549,11 @@ impl Tracked {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scanft_analyze::{Analysis, ConstFacts};
+    use scanft_analyze::{ConstFacts, Implications};
     use scanft_netlist::NetlistBuilder;
 
     #[test]
-    fn prover_rediscovers_the_closure_constants() {
+    fn prover_certifies_the_closure_constants() {
         // c = AND(x, NOT x) is constant 0; the closure then sees z = x.
         let mut b = NetlistBuilder::new(1, 0);
         let nx = b.add_gate(GateKind::Not, &[0]).unwrap();
@@ -657,9 +561,10 @@ mod tests {
         let z = b.add_gate(GateKind::Or, &[c, 0]).unwrap();
         let n = b.finish(vec![z], vec![]).unwrap();
         let mut cert = Certificate::begin(1, 0, 3);
-        let prover = Prover::new(&n, &mut cert);
+        let (implications, history) = Implications::with_history(&n);
+        let prover = Prover::new(&n, history, &mut cert);
         assert_eq!(prover.constant(c), Some(false));
-        let facts = ConstFacts::of(&Analysis::new(&n));
+        let facts = ConstFacts::of(&implications);
         assert_eq!(prover.constants(), facts.constants());
         assert!(cert.as_text().contains("\"step\":\"const\""));
     }
@@ -672,8 +577,9 @@ mod tests {
         let bf = b.add_gate(GateKind::Buf, &[0]).unwrap();
         let n = b.finish(vec![y, bf], vec![]).unwrap();
         let mut cert = Certificate::begin(1, 0, 3);
-        let mut prover = Prover::new(&n, &mut cert);
-        let facts = ConstFacts::of(&Analysis::new(&n));
+        let (implications, history) = Implications::with_history(&n);
+        let mut prover = Prover::new(&n, history, &mut cert);
+        let facts = ConstFacts::of(&implications);
         for class in facts.classes() {
             let rep = class[0];
             for &member in &class[1..] {

@@ -326,14 +326,14 @@ fn hash_key(kind: GateKind, inputs: &[NetId]) -> (GateKind, Vec<NetId>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scanft_analyze::Analysis;
+    use scanft_analyze::Implications;
     use scanft_netlist::NetlistBuilder as NB;
 
     fn optimize_raw(n: &Netlist) -> (Netlist, NetMap, RewriteStats, Certificate) {
-        let analysis = Analysis::new(n);
-        let facts = ConstFacts::of(&analysis);
+        let (implications, history) = Implications::with_history(n);
+        let facts = ConstFacts::of(&implications);
         let mut cert = Certificate::begin(n.num_pis(), n.num_ppis(), n.num_gates());
-        let mut prover = Prover::new(n, &mut cert);
+        let mut prover = Prover::new(n, history, &mut cert);
         let (reduced, map, stats) = run(n, &facts, &mut prover, &mut cert);
         (reduced, map, stats, cert)
     }
