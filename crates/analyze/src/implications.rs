@@ -669,6 +669,31 @@ mod tests {
     }
 
     #[test]
+    fn constants_that_need_earlier_constants_come_from_a_later_sweep() {
+        // a = AND(x, NOT x) and z = AND(y, NOT y) conflict outright;
+        // b = OR(a, z) conflicts only once both are seeded, a sweep later.
+        let mut bld = NetlistBuilder::new(2, 0);
+        let nx = bld.add_gate(GateKind::Not, &[0]).unwrap();
+        let a = bld.add_gate(GateKind::And, &[0, nx]).unwrap();
+        let ny = bld.add_gate(GateKind::Not, &[1]).unwrap();
+        let z = bld.add_gate(GateKind::And, &[1, ny]).unwrap();
+        let b = bld.add_gate(GateKind::Or, &[a, z]).unwrap();
+        let n = bld.finish(vec![b], vec![]).unwrap();
+        let (imp, history) = Implications::with_history(&n);
+        assert_eq!(imp.constants(), vec![(a, false), (z, false), (b, false)]);
+        let sweep_of = |net| {
+            history
+                .constants()
+                .iter()
+                .find(|c| c.net == net)
+                .unwrap()
+                .sweep
+        };
+        assert_eq!(sweep_of(a), sweep_of(z));
+        assert!(sweep_of(b) > sweep_of(a));
+    }
+
+    #[test]
     fn equivalent_nets_detected() {
         // Double inversion: y = NOT(NOT(x)) is equivalent to b = BUF(x).
         let mut b = NetlistBuilder::new(1, 0);

@@ -553,7 +553,7 @@ mod tests {
     use scanft_netlist::NetlistBuilder;
 
     #[test]
-    fn prover_certifies_the_closure_constants() {
+    fn prover_rediscovers_the_closure_constants() {
         // c = AND(x, NOT x) is constant 0; the closure then sees z = x.
         let mut b = NetlistBuilder::new(1, 0);
         let nx = b.add_gate(GateKind::Not, &[0]).unwrap();
@@ -567,6 +567,27 @@ mod tests {
         let facts = ConstFacts::of(&implications);
         assert_eq!(prover.constants(), facts.constants());
         assert!(cert.as_text().contains("\"step\":\"const\""));
+    }
+
+    #[test]
+    fn later_sweeps_certify_over_earlier_constants() {
+        // b = OR(a, z) over two constant-0 ANDs conflicts only with a and
+        // z seeded, so its trace must cite them as certified constants.
+        let mut bld = NetlistBuilder::new(2, 0);
+        let nx = bld.add_gate(GateKind::Not, &[0]).unwrap();
+        let a = bld.add_gate(GateKind::And, &[0, nx]).unwrap();
+        let ny = bld.add_gate(GateKind::Not, &[1]).unwrap();
+        let z = bld.add_gate(GateKind::And, &[1, ny]).unwrap();
+        let b = bld.add_gate(GateKind::Or, &[a, z]).unwrap();
+        let n = bld.finish(vec![b], vec![]).unwrap();
+        let mut cert = Certificate::begin(2, 0, 5);
+        let (implications, history) = Implications::with_history(&n);
+        let prover = Prover::new(&n, history, &mut cert);
+        assert_eq!(prover.constants(), implications.constants());
+        let text = cert.as_text();
+        let last = text.lines().last().unwrap();
+        assert!(last.starts_with(&format!("{{\"step\":\"const\",\"net\":{b},")));
+        assert!(last.contains(&format!("{{\"const\":{a}}}")));
     }
 
     #[test]
