@@ -15,8 +15,10 @@
 //!
 //! `--cert-dir DIR` writes each certificate as `<name>.cert.jsonl` so CI
 //! can archive the proof logs. Certificates above `--max-cert-bytes`
-//! (default 64 MiB; keyb's exceeds 2 GB) are checked in memory but not
-//! written, and every skip is printed — no silent caps.
+//! (default 64 MiB; keyb's is 2 MB) are checked in memory but not written,
+//! and every skip is printed — no silent caps. Every row carries its
+//! certificate's 64-bit FNV-1a as `cert_fnv1a`, so CI can compare the
+//! proof logs against the committed `BENCH_opt.json` byte for byte.
 //!
 //! Usage: `opt_suite [--out FILE] [--circuits a,b,c] [--cert-dir DIR]
 //! [--max-cert-bytes N] [--measure] [--reps N]`
@@ -59,6 +61,7 @@ struct Row {
     dead: usize,
     cert_steps: usize,
     cert_bytes: usize,
+    cert_fnv1a: u64,
     cert_written: bool,
     untestable: usize,
     fallback: usize,
@@ -168,6 +171,13 @@ fn parse_args() -> Args {
         );
     }
     args
+}
+
+/// FNV-1a (64-bit) over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Best-of-`reps` wall time of one campaign run, each rep amortised over
@@ -297,6 +307,7 @@ fn drill_circuit(name: &str, args: &Args) -> Row {
         dead: opt.stats.gates_removed,
         cert_steps: opt.stats.certificate_steps,
         cert_bytes: opt.stats.certificate_bytes,
+        cert_fnv1a: fnv1a(opt.certificate.as_bytes()),
         cert_written,
         untestable,
         fallback,
@@ -347,8 +358,9 @@ fn main() {
             format!(
                 "    {{\"name\":\"{}\",\"gates\":{},\"reduced\":{},\"constants_folded\":{},\
                  \"merges\":{},\"dead\":{},\"cert_steps\":{},\"cert_bytes\":{},\
-                 \"cert_written\":{},\"untestable\":{},\"fallback\":{},\"exact\":{},\
-                 \"faults\":{},\"tests\":{},\"optimize_secs\":{:.4},\"check_secs\":{:.4}{timing}}}",
+                 \"cert_fnv1a\":\"{:016x}\",\"cert_written\":{},\"untestable\":{},\
+                 \"fallback\":{},\"exact\":{},\"faults\":{},\"tests\":{},\
+                 \"optimize_secs\":{:.4},\"check_secs\":{:.4}{timing}}}",
                 r.name,
                 r.gates,
                 r.reduced,
@@ -357,6 +369,7 @@ fn main() {
                 r.dead,
                 r.cert_steps,
                 r.cert_bytes,
+                r.cert_fnv1a,
                 r.cert_written,
                 r.untestable,
                 r.fallback,
