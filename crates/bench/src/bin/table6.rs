@@ -15,7 +15,7 @@ fn main() {
     println!("Table 6: Simulation of gate-level faults (functional tests of Table 5)");
     println!();
     println!(
-        "  circuit  || s.a.: tsts |  len |  tot |  det |   f.c. | complete || bridg: tsts |  len |  tot |  det |   f.c. | complete || paper f.c.: s.a. | bridg"
+        "  circuit  || s.a.: tsts |  len |   tot |   det |   f.c. | complete || bridg: tsts |  len |   tot |   det |   f.c. | complete || paper f.c.: s.a. | bridg"
     );
     scanft_bench::rule(160);
     let mut all_complete = true;
@@ -24,7 +24,7 @@ fn main() {
         let p = paper_row(spec.name).expect("paper row exists");
         if !run {
             println!(
-                "  {:<8} || {:>50} || {:>51} || {:>15} | {:>5}",
+                "  {:<8} || {:>53} || {:>54} || {:>15} | {:>5}",
                 spec.name,
                 "skipped(budget)",
                 "",
@@ -45,7 +45,7 @@ fn main() {
         masked_total += masked;
         all_complete &= sa_complete && br_complete;
         println!(
-            "  {:<8} || {:>10} | {:>4} | {:>4} | {:>4} | {:>6} | {:>8} || {:>11} | {:>4} | {:>4} | {:>4} | {:>6} | {:>8} || {:>15} | {:>5}",
+            "  {:<8} || {:>10} | {:>4} | {:>5} | {:>5} | {:>6} | {:>8} || {:>11} | {:>4} | {:>5} | {:>5} | {:>6} | {:>8} || {:>15} | {:>5}",
             spec.name,
             sa.effective_tests,
             sa.effective_length,
