@@ -72,10 +72,11 @@ impl KernelWord for u64 {
     }
 }
 
-/// The wide kernel: a cone-restricted, event-driven plan for stuck-at and
-/// bridging batches, which drops lanes as soon as they are detected, even
-/// inside a test. Delay batches, and stuck-at batches whose cones span
-/// every gate, get no cone and fall back to full evaluation.
+/// The wide kernel: a cone-restricted, event-driven plan for every batch,
+/// which drops lanes as soon as they are detected, even inside a test;
+/// bridge and delay batches add a second sweep per cycle that builds on
+/// the first. Only stuck-only batches whose cones span every gate get no
+/// cone and fall back to full evaluation.
 impl KernelWord for W256 {
     const TIMER: &'static str = "sim.campaign.run_wide";
 
@@ -528,6 +529,8 @@ fn supervise<W: KernelWord>(
 
     let traces = good_traces(netlist, tests, order);
     let batches_run = obs.counter("sim.campaign.batches");
+    let tests_simulated = obs.counter("sim.campaign.tests_simulated");
+    let tests_skipped = obs.counter("sim.campaign.tests_skipped");
     let gate_evals = obs.counter("sim.kernel.gate_evals");
     let journal_error: Mutex<Option<String>> = Mutex::new(None);
     let outcome = run_units(
@@ -548,7 +551,7 @@ fn supervise<W: KernelWord>(
                 let slot = unit - first;
                 skip |= W::low_lanes(64 * (slot + 1)) & !W::low_lanes(64 * slot);
             }
-            let (local, _) = run_batch(
+            let (local, simulated) = run_batch(
                 engine,
                 tests,
                 order,
@@ -557,6 +560,8 @@ fn supervise<W: KernelWord>(
                 skip,
                 config.observe_scan_out,
             );
+            tests_simulated.add(simulated as u64);
+            tests_skipped.add((order.len() - simulated) as u64);
             gate_evals.add(engine.take_gate_evals());
             missing_units(batch)
                 .map(|unit| {

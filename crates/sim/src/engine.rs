@@ -30,31 +30,35 @@
 //!
 //! # Event-driven PPSFP
 //!
-//! For batches without delay faults, [`InjectionPlan::event_driven`]
-//! additionally computes the union of the batch's [`FaultCone`]s (a
-//! bridge's cone is seeded by both of its nets) and
-//! [`FaultEngine::run_test_event_driven`] evaluates **only** the gates in
-//! that union, reading every other net's value from a precomputed
-//! fault-free [`GoodTrace`]. Within the cone a worklist — one bit per cone
-//! position, drained lowest position first — runs only the gates that carry
-//! a live force or read a net deviating from the trace, so unperturbed (or
-//! already-detected) lanes cost nothing. Soundness: a net outside the cone
-//! union provably carries the fault-free value in every lane (the cone is
-//! closed under structural fanout *and* the scan boundary), and a cone
-//! gate with clean fanins, no stem force and no branch force reproduces the
-//! fault-free output exactly — so skipping it cannot change any lane. A
-//! stuck-only cone union that spans every gate restricts nothing; such a
-//! batch runs the plain full pass, which is cheaper than the worklist
-//! bookkeeping.
+//! [`InjectionPlan::event_driven`] additionally computes the union of the
+//! batch's [`FaultCone`]s (a bridge's cone is seeded by both of its nets, a
+//! delay fault's by its net) and [`FaultEngine::run_test_event_driven`]
+//! evaluates **only** the gates in that union, reading every other net's
+//! value from a precomputed fault-free [`GoodTrace`]. Within the cone a
+//! worklist — one bit per cone position, drained lowest position first —
+//! runs only the gates that carry a live force or read a net deviating from
+//! the trace, so unperturbed (or already-detected) lanes cost nothing.
+//! Soundness: a net outside the cone union provably carries the fault-free
+//! value in every lane (the cone is closed under structural fanout *and*
+//! the scan boundary), and a cone gate with clean fanins, no stem force and
+//! no branch force reproduces the fault-free output exactly — so skipping
+//! it cannot change any lane. A stuck-only cone union that spans every gate
+//! restricts nothing; such a batch runs the plain full pass, which is
+//! cheaper than the worklist bookkeeping.
 //!
 //! A lane detected at a primary output is dropped before the next cycle of
 //! the same test: it leaves the live mask, and its captured state restarts
 //! from the trace's good next state, so it carries fault-free values (and
-//! costs nothing) for the rest of the test. Bridge batches sweep the
-//! worklist twice per cycle, the event-driven form of the two passes: the
-//! first sweep settles the driven values, the second restarts from the
-//! trace and is seeded by the readers of every tapped net whose wired
-//! value deviates.
+//! costs nothing) for the rest of the test.
+//!
+//! Bridge and delay batches sweep the worklist twice per cycle, the
+//! event-driven form of the two passes. The first sweep settles the driven
+//! values. The second builds on it: it is seeded only by the readers of the
+//! bridged and delayed nets whose reading (wired value, late value) differs
+//! from the driven word in some live lane, and a re-evaluated gate queues
+//! its fanout only when its output changes from its first-sweep word. Both
+//! the snapshot of the driven words and the readings cover the live lanes
+//! only, and each reading is computed once per cycle.
 
 use scanft_fsm::InputId;
 use scanft_netlist::{FaultCone, NetId, Netlist};
@@ -73,7 +77,11 @@ use crate::{ScanResponse, ScanTest};
 //
 // The driven value of `n` itself is unaffected (its cone cannot contain
 // `n`), so a second evaluation pass — the same trick used for bridging
-// faults — propagates the late readings exactly. No transition can be
+// faults — propagates the late readings exactly. The event-driven kernel
+// runs that pass as its second sweep: it snapshots each delayed net's
+// driven word after the first sweep, forms the late force from it and the
+// previous cycle's snapshot in the live slow lanes, and queues the net's
+// readers when the force changes their reading. No transition can be
 // launched at the first cycle of a test (scan shifting is slow), so
 // length-1 tests never detect delay faults, which is precisely the paper's
 // at-speed argument for chaining transitions.
@@ -138,6 +146,48 @@ struct DelaySite<W: LaneWord> {
     fall_mask: W,
 }
 
+/// A net whose readers may see something other than its driven word in
+/// the second sweep of an event-driven cycle: a bridged net in the lanes
+/// of its live taps, a delayed net in its live slow lanes, or both.
+/// Derived from the plan at the start of every event-driven run and
+/// filtered when lanes drop.
+#[derive(Debug, Clone, Copy, Default)]
+struct Overlay<W: LaneWord> {
+    net: NetId,
+    /// Union of the net's live tap masks.
+    tap_lanes: W,
+    /// Live slow-to-rise and slow-to-fall lanes.
+    rise: W,
+    fall: W,
+    /// The net's driven word, snapshot after this cycle's first sweep.
+    driven: W,
+    /// The previous cycle's snapshot: the launch reference of slow lanes.
+    prev: W,
+    /// This cycle's reading of a current word `w` is `(w & keep) | set`,
+    /// derived once the first sweep has settled `driven`.
+    keep: W,
+    set: W,
+}
+
+impl<W: LaneWord> Overlay<W> {
+    /// What the net's readers see when its current word is `word`.
+    #[inline]
+    fn apply(&self, word: W) -> W {
+        (word & self.keep) | self.set
+    }
+}
+
+/// A bridge tap of an event-driven run, restricted to its live lanes: in
+/// the lanes of `mask`, readers of `net` see the wired AND/OR of `net` and
+/// `partner`.
+#[derive(Debug, Clone, Copy)]
+struct LiveTap<W: LaneWord> {
+    net: NetId,
+    partner: NetId,
+    mask: W,
+    kind: BridgeKind,
+}
+
 /// Prepared lane-parallel injection for a batch of at most `W::LANES`
 /// faults (64 for the narrow kernel, 256 for the wide one).
 #[derive(Debug, Clone)]
@@ -162,9 +212,9 @@ pub struct InjectionPlan<W: LaneWord = u64> {
     /// Delay-faulted nets of the batch.
     delays: Vec<DelaySite<W>>,
     has_bridges: bool,
-    /// Union of the batch's fault cones (batches without delay faults built
-    /// via [`InjectionPlan::event_driven`], except stuck-only ones whose
-    /// cones span every gate); `None` forces full re-evaluation.
+    /// Union of the batch's fault cones (plans built via
+    /// [`InjectionPlan::event_driven`], except stuck-only ones whose cones
+    /// span every gate); `None` forces full re-evaluation.
     cone: Option<FaultCone>,
     /// PI indices carrying a stem force — the only PIs the event-driven
     /// path must reload per cycle.
@@ -335,14 +385,14 @@ impl<W: LaneWord> InjectionPlan<W> {
 
     /// Builds the plan **and** the union of the batch's fault cones so
     /// [`FaultEngine::run_test_event_driven`] can restrict evaluation to
-    /// it. A bridge's cone is seeded by both of its nets: a bridge changes
-    /// only what their readers see. Batches containing delay faults get no
-    /// cone (a late reading depends on the previous cycle's driven value)
-    /// and transparently fall back to full evaluation, and so do stuck-only
-    /// batches whose cone union spans every gate: such a cone restricts
-    /// nothing, and one full pass costs less than the worklist bookkeeping.
-    /// A bridge batch keeps its cone even then, since its full fallback is
-    /// two passes per cycle that read every net through the tap index.
+    /// it. A bridge's cone is seeded by both of its nets, and a delay
+    /// fault's by its net: either changes only what the net's readers see.
+    /// Stuck-only batches whose cone union spans every gate get no cone and
+    /// fall back to full evaluation: such a cone restricts nothing, and one
+    /// full pass costs less than the worklist bookkeeping. Bridge and delay
+    /// batches keep their cone even then, since their full fallback is two
+    /// passes per cycle that read every net through the tap index and the
+    /// late overlay.
     ///
     /// # Panics
     ///
@@ -350,21 +400,19 @@ impl<W: LaneWord> InjectionPlan<W> {
     #[must_use]
     pub fn event_driven(netlist: &Netlist, faults: &[Fault]) -> Self {
         let mut plan = Self::build(netlist, faults);
-        if plan.has_delays() {
-            return plan;
-        }
-        // The seeds are read off the merged plan: every forced or tapped
-        // net, and every gate with a forced input pin (`branch` is grouped
-        // by gate).
+        // The seeds are read off the merged plan: every forced, tapped or
+        // delayed net, and every gate with a forced input pin (`branch` is
+        // grouped by gate).
         let mut seed_nets: Vec<NetId> = Vec::with_capacity(netlist.num_nets());
         seed_nets.extend(
             (0..netlist.num_nets() as NetId).filter(|&net| !plan.stem[net as usize].is_noop()),
         );
         seed_nets.extend_from_slice(&plan.tapped_nets);
+        seed_nets.extend(plan.delays.iter().map(|site| site.net));
         let mut seed_gates: Vec<u32> = plan.branch.iter().map(|&(g, _, _)| g).collect();
         seed_gates.dedup();
         let cone = FaultCone::compute(netlist, &seed_nets, &seed_gates);
-        if !plan.has_bridges && cone.gates.len() == netlist.num_gates() {
+        if !plan.has_bridges && !plan.has_delays() && cone.gates.len() == netlist.num_gates() {
             return plan;
         }
         let mut cone_pos = vec![u32::MAX; netlist.num_gates()];
@@ -403,8 +451,8 @@ impl<W: LaneWord> InjectionPlan<W> {
     }
 
     /// The batch's cone union, when built via
-    /// [`InjectionPlan::event_driven`] on a batch without delay faults
-    /// that has bridging faults or whose cones leave some gate out.
+    /// [`InjectionPlan::event_driven`] on a batch that has bridging or delay
+    /// faults or whose cones leave some gate out.
     #[must_use]
     pub fn cone(&self) -> Option<&FaultCone> {
         self.cone.as_ref()
@@ -428,28 +476,29 @@ impl<W: LaneWord> InjectionPlan<W> {
         &self.taps[self.tap_start[net as usize] as usize..self.tap_start[net as usize + 1] as usize]
     }
 
-    /// `word`, the value driven onto `net`, as its readers see it: in the
-    /// lanes of each tap on `net` that are also in `live`, the wired
-    /// AND/OR of the two bridged nets' words in `driven`.
-    #[inline]
-    fn tapped(&self, net: NetId, mut word: W, driven: &[W], live: W) -> W {
-        for tap in self.taps_of(net) {
-            let wired = match tap.kind {
-                BridgeKind::And => driven[net as usize] & driven[tap.partner as usize],
-                BridgeKind::Or => driven[net as usize] | driven[tap.partner as usize],
-            };
-            let mask = tap.mask & live;
-            word = (word & !mask) | (wired & mask);
-        }
-        word
-    }
-
+    /// The value readers of `net` see in a full pass: in the lanes of each
+    /// tap on `net`, the wired AND/OR of the two bridged nets' words, and
+    /// then the net's late reading, if any.
     fn read(&self, net: NetId, values: &[W], late: &[Force<W>]) -> W {
-        let mut word = self.tapped(net, values[net as usize], values, W::ones());
+        let driven = values[net as usize];
+        let mut word = driven;
+        for tap in self.taps_of(net) {
+            let wired = wired(tap.kind, driven, values[tap.partner as usize]);
+            word = (word & !tap.mask) | (wired & tap.mask);
+        }
         if let Some(&force) = late.get(net as usize) {
             word = force.apply(word);
         }
         word
+    }
+}
+
+/// The wired value of two bridged nets' words.
+#[inline]
+fn wired<W: LaneWord>(kind: BridgeKind, a: W, b: W) -> W {
+    match kind {
+        BridgeKind::And => a & b,
+        BridgeKind::Or => a | b,
     }
 }
 
@@ -467,6 +516,16 @@ fn current_word<W: LaneWord>(
         values[net as usize]
     } else {
         W::splat_bit(trace.bit(cycle, net))
+    }
+}
+
+/// `word`, the current word of `net`, as the net's readers see it in a
+/// cycle's second sweep: through its overlay, if it has one.
+#[inline(always)]
+fn through_overlay<W: LaneWord>(overlays: &[Overlay<W>], slots: &[u32], net: NetId, word: W) -> W {
+    match slots[net as usize] {
+        u32::MAX => word,
+        slot => overlays[slot as usize].apply(word),
     }
 }
 
@@ -514,11 +573,14 @@ pub struct FaultEngine<'a, W: LaneWord = u64> {
     work: Vec<u64>,
     /// Per-run worklist seeds, as bits over cone positions: the gates
     /// whose forces survive the live-lane mask. Copied into `work` at the
-    /// start of every sweep, and re-derived when lanes are dropped.
+    /// start of every cycle, and re-derived when lanes are dropped.
     seeds: Vec<u64>,
-    /// Per-net driven words of a bridge batch's tapped nets, snapshot by
-    /// each cycle's first sweep; the other entries are unused.
-    driven: Vec<W>,
+    /// The run's overlaid (bridged or delayed) nets with a live lane, and
+    /// per net its index into `overlays` (`u32::MAX` for the others).
+    overlays: Vec<Overlay<W>>,
+    overlay_slot: Vec<u32>,
+    /// The run's bridge taps with a live lane.
+    live_taps: Vec<LiveTap<W>>,
     /// Gate evaluations performed since construction (or the last
     /// [`FaultEngine::take_gate_evals`]) — the kernel's work metric.
     gate_evals: u64,
@@ -541,7 +603,9 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
             touched: Vec::new(),
             work: Vec::new(),
             seeds: Vec::new(),
-            driven: Vec::new(),
+            overlays: Vec::new(),
+            overlay_slot: Vec::new(),
+            live_taps: Vec::new(),
             gate_evals: 0,
         }
     }
@@ -631,6 +695,29 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
         self.queue_fanout(plan, net);
     }
 
+    /// The second sweep's form of [`FaultEngine::settle`]: stores `word` as
+    /// the value of `net` and queues its in-cone fanout gates only if it
+    /// changes the net's current word, the one the first sweep left.
+    #[inline]
+    fn resettle(
+        &mut self,
+        plan: &InjectionPlan<W>,
+        trace: &GoodTrace,
+        cycle: usize,
+        net: NetId,
+        word: W,
+    ) {
+        if word == current_word(&self.dirty, &self.values, trace, cycle, net) {
+            return;
+        }
+        self.values[net as usize] = word;
+        if !self.dirty[net as usize] {
+            self.dirty[net as usize] = true;
+            self.touched.push(net);
+        }
+        self.queue_fanout(plan, net);
+    }
+
     /// Queues the in-cone gates that read `net`.
     #[inline]
     fn queue_fanout(&mut self, plan: &InjectionPlan<W>, net: NetId) {
@@ -642,13 +729,13 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
         }
     }
 
-    /// Evaluates one cone gate against the good trace: clean fanins read
-    /// through from the trace (and, when `BRIDGED`, tapped fanins through
-    /// their live taps), branch and stem forces applied under the live
-    /// mask; a deviating output is marked dirty and its in-cone fanouts
-    /// queued.
+    /// Evaluates one cone gate: fanins read their current word (the good
+    /// trace's value unless dirty, and in the second sweep through their
+    /// overlay), and branch and stem forces apply under the live mask. The
+    /// first sweep marks a deviating output dirty and queues its in-cone
+    /// fanouts; the second does so only when the output changes.
     #[inline]
-    fn eval_cone_gate<const BRIDGED: bool>(
+    fn eval_cone_gate<const SECOND: bool>(
         &mut self,
         plan: &InjectionPlan<W>,
         trace: &GoodTrace,
@@ -661,11 +748,12 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
         let fanins = netlist.fanins(g);
         let branch = plan.branch_range(g);
         self.gate_evals += 1;
-        let (dirty, values, driven) = (&self.dirty, &self.values, &self.driven);
+        let (dirty, values) = (&self.dirty, &self.values);
+        let (overlays, overlay_slot) = (&self.overlays, &self.overlay_slot);
         let read = |f: NetId| {
             let word = current_word(dirty, values, trace, cycle, f);
-            if BRIDGED {
-                plan.tapped(f, word, driven, live)
+            if SECOND {
+                through_overlay(overlays, overlay_slot, f, word)
             } else {
                 word
             }
@@ -684,7 +772,11 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
             )
         };
         let word = plan.stem[out as usize].masked(live).apply(word);
-        self.settle(plan, out, word, W::splat_bit(trace.bit(cycle, out)));
+        if SECOND {
+            self.resettle(plan, trace, cycle, out, word);
+        } else {
+            self.settle(plan, out, word, W::splat_bit(trace.bit(cycle, out)));
+        }
     }
 
     /// Re-derives the worklist seeds over `words` bitset words: the forced
@@ -701,9 +793,9 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
         }
     }
 
-    /// Starts a sweep of `cycle`: queues the seeds and settles the forced
-    /// PIs (the only primary inputs that can deviate) and the PPIs, which
-    /// reload the captured faulty state.
+    /// Starts the first sweep of `cycle`: queues the seeds and settles the
+    /// forced PIs (the only primary inputs that can deviate) and the PPIs,
+    /// which reload the captured faulty state.
     fn load_cycle(
         &mut self,
         plan: &InjectionPlan<W>,
@@ -729,13 +821,13 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
     }
 
     /// Drains the worklist lowest position first: every queued gate
-    /// carries a live force or has a fanin that deviates. Cone positions
-    /// follow `cone.gates`, which is topological, so a gate queues its
-    /// fanouts only at positions above its own. A forward sweep that
-    /// re-reads the current word after each evaluation therefore sees every
-    /// event, and runs each gate once per sweep, after all of its fanin
-    /// events.
-    fn drain<const BRIDGED: bool>(
+    /// carries a live force or has a fanin that deviates (in the second
+    /// sweep: whose reading changed). Cone positions follow `cone.gates`,
+    /// which is topological, so a gate queues its fanouts only at positions
+    /// above its own. A forward sweep that re-reads the current word after
+    /// each evaluation therefore sees every event, and runs each gate once
+    /// per sweep, after all of its fanin events.
+    fn drain<const SECOND: bool>(
         &mut self,
         plan: &InjectionPlan<W>,
         cone: &FaultCone,
@@ -748,7 +840,7 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
                 let bit = self.work[w].trailing_zeros() as usize;
                 self.work[w] &= self.work[w] - 1;
                 let g = cone.gates[w * 64 + bit] as usize;
-                self.eval_cone_gate::<BRIDGED>(plan, trace, cycle, g, live);
+                self.eval_cone_gate::<SECOND>(plan, trace, cycle, g, live);
                 debug_assert_eq!(
                     self.work[w] & (u64::MAX >> (63 - bit)),
                     0,
@@ -762,10 +854,137 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
         );
     }
 
-    /// Clears the dirty flags, so the next sweep starts from the trace.
+    /// Clears the dirty flags, so the next cycle starts from the trace.
     fn clear_dirty(&mut self) {
         for net in self.touched.drain(..) {
             self.dirty[net as usize] = false;
+        }
+    }
+
+    /// Derives the run's overlays from `plan`: one per bridged or delayed
+    /// net with a live lane, and the bridge taps restricted to their live
+    /// lanes. Clears the previous run's overlays first.
+    fn build_overlays(&mut self, plan: &InjectionPlan<W>, live: W) {
+        for o in self.overlays.drain(..) {
+            self.overlay_slot[o.net as usize] = u32::MAX;
+        }
+        self.live_taps.clear();
+        if !plan.has_bridges && !plan.has_delays() {
+            return;
+        }
+        if self.overlay_slot.len() != self.netlist.num_nets() {
+            self.overlay_slot = vec![u32::MAX; self.netlist.num_nets()];
+        }
+        for &net in &plan.tapped_nets {
+            let mut tap_lanes = W::zero();
+            for tap in plan.taps_of(net) {
+                let mask = tap.mask & live;
+                if !mask.is_zero() {
+                    tap_lanes |= mask;
+                    self.live_taps.push(LiveTap {
+                        net,
+                        partner: tap.partner,
+                        mask,
+                        kind: tap.kind,
+                    });
+                }
+            }
+            if !tap_lanes.is_zero() {
+                self.overlay(net).tap_lanes = tap_lanes;
+            }
+        }
+        for site in &plan.delays {
+            let (rise, fall) = (site.rise_mask & live, site.fall_mask & live);
+            if !(rise | fall).is_zero() {
+                let o = self.overlay(site.net);
+                o.rise = rise;
+                o.fall = fall;
+            }
+        }
+    }
+
+    /// The overlay of `net`, added if the net has none yet.
+    fn overlay(&mut self, net: NetId) -> &mut Overlay<W> {
+        let slot = &mut self.overlay_slot[net as usize];
+        if *slot == u32::MAX {
+            *slot = self.overlays.len() as u32;
+            self.overlays.push(Overlay {
+                net,
+                ..Overlay::default()
+            });
+        }
+        &mut self.overlays[*slot as usize]
+    }
+
+    /// Restricts the overlays and live taps to the lanes of `live`, after
+    /// lanes were dropped; an overlay left without a live lane goes. A
+    /// delayed net's previous-cycle snapshot survives for its live lanes.
+    fn filter_overlays(&mut self, live: W) {
+        self.live_taps.retain_mut(|tap| {
+            tap.mask &= live;
+            !tap.mask.is_zero()
+        });
+        for o in &mut self.overlays {
+            self.overlay_slot[o.net as usize] = u32::MAX;
+            o.tap_lanes &= live;
+            o.rise &= live;
+            o.fall &= live;
+        }
+        self.overlays
+            .retain(|o| !(o.tap_lanes | o.rise | o.fall).is_zero());
+        for (slot, o) in self.overlays.iter().enumerate() {
+            self.overlay_slot[o.net as usize] = slot as u32;
+        }
+    }
+
+    /// Prepares `cycle`'s second sweep once the first has settled every
+    /// driven value: snapshots the overlaid nets' driven words, derives
+    /// each net's reading from them once (the wired value in its live tap
+    /// lanes; the late value in its live slow lanes where this cycle
+    /// launches a slow transition, never at the first cycle), and queues
+    /// the in-cone readers of every net whose reading differs from its
+    /// driven word.
+    fn prepare_second_sweep(&mut self, plan: &InjectionPlan<W>, trace: &GoodTrace, cycle: usize) {
+        for o in &mut self.overlays {
+            o.driven = current_word(&self.dirty, &self.values, trace, cycle, o.net);
+            o.set = W::zero();
+        }
+        for tap in &self.live_taps {
+            let own = self.overlay_slot[tap.net as usize] as usize;
+            let partner = self.overlay_slot[tap.partner as usize] as usize;
+            let wired = wired(
+                tap.kind,
+                self.overlays[own].driven,
+                self.overlays[partner].driven,
+            );
+            self.overlays[own].set |= wired & tap.mask;
+        }
+        for i in 0..self.overlays.len() {
+            let o = &mut self.overlays[i];
+            let (late_zero, late_one) = if cycle > 0 {
+                (o.rise & o.driven & !o.prev, o.fall & !o.driven & o.prev)
+            } else {
+                (W::zero(), W::zero())
+            };
+            o.prev = o.driven;
+            o.keep = !(o.tap_lanes | late_zero | late_one);
+            o.set |= late_one;
+            if o.apply(o.driven) != o.driven {
+                let net = o.net;
+                self.queue_fanout(plan, net);
+            }
+        }
+    }
+
+    /// What readers of `net` see once `cycle`'s sweeps ran: its current
+    /// word, through its overlay when the run has `overlaid` nets.
+    #[inline]
+    fn reading(&self, trace: &GoodTrace, cycle: usize, net: NetId, overlaid: bool) -> W {
+        let word = current_word(&self.dirty, &self.values, trace, cycle, net);
+        if overlaid {
+            through_overlay(&self.overlays, &self.overlay_slot, net, word)
+        } else {
+            word
         }
     }
 
@@ -773,21 +992,24 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
     /// given the fault-free `trace` of `test`, evaluates only the gates of
     /// the plan's cone union that carry a live force or read a net
     /// deviating from the trace. Falls back to full evaluation when the
-    /// plan carries no cone (delay batches, stuck-only cones spanning every
-    /// gate, or plans built with [`InjectionPlan::build`]).
+    /// plan carries no cone (stuck-only cones spanning every gate, or plans
+    /// built with [`InjectionPlan::build`]).
     ///
     /// A lane detected at a primary output leaves the live mask before the
     /// next cycle, and its captured state restarts from the good trace's
-    /// next state: with its forces masked off it then carries fault-free
-    /// values and costs nothing for the rest of the test.
+    /// next state: with its forces, taps and slow lanes masked off it then
+    /// carries fault-free values and costs nothing for the rest of the test.
     ///
-    /// A bridge batch sweeps each cycle twice. The first sweep settles the
-    /// driven values and snapshots the tapped nets' words; the second
-    /// restarts from the trace, seeded in addition by the readers of every
-    /// tapped net whose wired value deviates, and reads tapped nets through
-    /// their live taps, as PO observation and PPO capture do. Qualifying
-    /// pairs are non-feedback, so neither driven value depends on the
-    /// bridge and the snapshot is exact.
+    /// Bridge and delay batches sweep each cycle twice. The first sweep
+    /// settles the driven values. The second builds on it without a
+    /// restart: it is seeded by the in-cone readers of every bridged or
+    /// delayed net whose reading differs from its driven word, reads those
+    /// nets through their readings (as PO observation and PPO capture do),
+    /// and queues a gate's fanout only when its output changes from the
+    /// first sweep's word. Qualifying bridge pairs are non-feedback and no
+    /// net lies in its own cone, so the first sweep settles each fault's
+    /// nets exactly in its own lane, and a gate whose readings did not
+    /// change keeps its first-sweep output.
     ///
     /// Detection results are bit-identical to the full path in every live
     /// lane.
@@ -822,14 +1044,12 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
         if self.dirty.len() != netlist.num_nets() {
             self.dirty = vec![false; netlist.num_nets()];
         }
-        if plan.has_bridges && self.driven.len() != netlist.num_nets() {
-            self.driven = vec![W::zero(); netlist.num_nets()];
-        }
         debug_assert!(self.touched.is_empty());
 
         let words = cone.gates.len().div_ceil(64);
         self.derive_seeds(plan, words, live);
         self.work.resize(words, 0);
+        self.build_overlays(plan, live);
 
         let mut state_words = std::mem::take(&mut self.state_words);
         state_words.clear();
@@ -838,38 +1058,28 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
         for (cycle, &input) in test.inputs.iter().enumerate() {
             self.load_cycle(plan, trace, cycle, input, &state_words, live);
             self.drain::<false>(plan, cone, trace, cycle, live);
-            if plan.has_bridges {
-                for &net in &plan.tapped_nets {
-                    self.driven[net as usize] =
-                        current_word(&self.dirty, &self.values, trace, cycle, net);
-                }
-                self.clear_dirty();
-                self.load_cycle(plan, trace, cycle, input, &state_words, live);
-                for &net in &plan.tapped_nets {
-                    let wired = plan.tapped(net, self.driven[net as usize], &self.driven, live);
-                    if wired != W::splat_bit(trace.bit(cycle, net)) {
-                        self.queue_fanout(plan, net);
-                    }
-                }
+            let overlaid = !self.overlays.is_empty();
+            if overlaid {
+                self.prepare_second_sweep(plan, trace, cycle);
                 self.drain::<true>(plan, cone, trace, cycle, live);
             }
 
-            // Observe POs: only dirty or tapped nets can deviate from the
+            // Observe POs: only dirty or overlaid nets can deviate from the
             // reference.
             let ff_out = trace.outputs()[cycle];
             let mut newly = W::zero();
             for (z, &net) in netlist.pos().iter().enumerate() {
-                if self.dirty[net as usize] || !plan.taps_of(net).is_empty() {
-                    let word = current_word(&self.dirty, &self.values, trace, cycle, net);
-                    let observed = plan.tapped(net, word, &self.driven, live);
+                if self.dirty[net as usize]
+                    || overlaid && self.overlay_slot[net as usize] != u32::MAX
+                {
+                    let observed = self.reading(trace, cycle, net, overlaid);
                     let reference = W::splat_bit(ff_out >> z & 1 == 1);
                     newly |= (observed ^ reference) & live;
                 }
             }
             // Capture next state per lane (good values read through).
             for (slot, &net) in state_words.iter_mut().zip(netlist.ppos()) {
-                let word = current_word(&self.dirty, &self.values, trace, cycle, net);
-                *slot = plan.tapped(net, word, &self.driven, live);
+                *slot = self.reading(trace, cycle, net, overlaid);
             }
             self.clear_dirty();
             if newly.is_zero() {
@@ -882,13 +1092,16 @@ impl<'a, W: LaneWord> FaultEngine<'a, W> {
                 return detected;
             }
             // Drop the detected lanes: they restart from the good next
-            // state, and the seeds lose their forces.
+            // state, and the seeds and overlays lose their lanes.
             if cycle + 1 < test.inputs.len() {
                 for (slot, &net) in state_words.iter_mut().zip(netlist.ppos()) {
                     let good = W::splat_bit(trace.bit(cycle, net));
                     *slot = (*slot & !newly) | (good & newly);
                 }
                 self.derive_seeds(plan, words, live);
+                if overlaid {
+                    self.filter_overlays(live);
+                }
             }
         }
 
@@ -1477,7 +1690,10 @@ mod tests {
     /// (none, every other lane, and the lanes earlier tests detected).
     fn assert_event_driven_matches_full(n: &Netlist, faults: &[Fault], tests: &[ScanTest]) {
         let plan = InjectionPlan::event_driven(n, faults);
-        assert!(plan.cone().is_some(), "a bridge batch keeps its cone");
+        assert!(
+            plan.cone().is_some(),
+            "a bridge or delay batch keeps its cone"
+        );
         let mut full = FaultEngine::new(n);
         let mut event = FaultEngine::new(n);
         let mut evaluator = Evaluator::new(n);
@@ -1776,11 +1992,22 @@ mod tests {
 
     #[test]
     fn event_driven_bridging_work_on_ex3_is_pinned() {
-        // ex3's bridging batches: two sweeps per cycle over the cone of
-        // the bridged nets, against two full passes per cycle.
+        // ex3's bridging batches: a second sweep per cycle that builds on
+        // the first, against two full passes per cycle.
         let (event, full) = ex3_campaign_work(|n| {
             crate::faults::bridges_as_fault_list(&crate::faults::enumerate_bridging(n, 3000).faults)
         });
-        assert_eq!((event, full), (137_026, 797_680));
+        assert_eq!((event, full), (76_129, 797_680));
+    }
+
+    #[test]
+    fn event_driven_delay_work_on_ex3_is_pinned() {
+        // ex3's delay batches: the second sweep runs only where a launched
+        // slow transition changes a reading, against full passes (the
+        // second of them only in cycles that launch one).
+        let (event, full) = ex3_campaign_work(|n| {
+            crate::faults::delays_as_fault_list(&crate::faults::enumerate_delay(n))
+        });
+        assert_eq!((event, full), (5_757, 30_784));
     }
 }

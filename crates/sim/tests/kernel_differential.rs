@@ -24,8 +24,9 @@ use scanft_fsm::rng::SplitMix64;
 use scanft_fsm::uio;
 use scanft_harness::{buffer_contents, read_journal, Budget, JournalWriter};
 use scanft_sim::campaign::{self, Kernel, SupervisedConfig};
-use scanft_sim::engine::InjectionPlan;
+use scanft_sim::engine::{FaultEngine, InjectionPlan};
 use scanft_sim::faults::{self, Fault};
+use scanft_sim::logic::Evaluator;
 use scanft_sim::{LaneWord, ScanTest, W256};
 use scanft_synth::{synthesize, SynthConfig};
 
@@ -58,9 +59,10 @@ fn setup(name: &str) -> Setup {
 }
 
 /// The fault universes `evaluate` and `simulate` send through the wide
-/// kernel. Bridging batches run event-driven, two worklist sweeps per
-/// cycle over the cone of the bridged nets; delay batches get no cone, so
-/// they exercise the wide kernel's full-evaluation fallback.
+/// kernel. Bridging and delay batches run event-driven, two worklist
+/// sweeps per cycle over the cone of the bridged or delayed nets; only
+/// stuck-at batches whose cone spans every gate exercise the wide kernel's
+/// full-evaluation fallback.
 fn universes(s: &Setup) -> [(&'static str, Vec<Fault>); 3] {
     let n = s.circuit.netlist();
     [
@@ -226,6 +228,161 @@ fn event_driven_equals_full_resimulation_on_every_tractable_circuit() {
             }
         }
     }
+}
+
+#[test]
+fn event_driven_equals_full_resimulation_on_multi_cycle_tests() {
+    // The sibling of the test above for the two-sweep batches: bridging,
+    // delay and mixed stuck/bridging/delay wide batches over sampled
+    // generated multi-cycle tests, which drop lanes mid-test and launch
+    // transitions. Every run must return `run_test_full`'s detection mask
+    // lane for lane, under random accreting skip masks and both observe
+    // modes, and the short tests' runs must spend nothing on dead lanes.
+    // Circuits over 1,000 gates and tests over 200 cycles are left out:
+    // full re-simulation of 256 lanes would dominate the test's time.
+    let mut runs = [0usize; 3];
+    let mut dead_lane_checks = [0usize; 3];
+    for spec in scanft_fsm::benchmarks::CIRCUITS
+        .iter()
+        .filter(|s| s.num_inputs + s.num_state_vars <= 12)
+    {
+        let s = setup(spec.name);
+        let netlist = s.circuit.netlist();
+        if netlist.num_gates() > 1000 {
+            continue;
+        }
+        let mut rng = SplitMix64::from_name(spec.name);
+        let mut tests: Vec<ScanTest> = s.tests.iter().filter(|t| t.len() <= 200).cloned().collect();
+        sample(&mut tests, 6, &mut rng);
+        let [_, (_, bridging), (_, delay)] = universes(&s);
+        // Stuck, bridging and delay faults interleaved lane by lane.
+        let mut mixed = Vec::new();
+        for k in 0..s.faults.len().max(bridging.len()).max(delay.len()) {
+            for list in [&s.faults, &bridging, &delay] {
+                mixed.extend(list.get(k));
+            }
+        }
+        let mut full = FaultEngine::<W256>::new(netlist);
+        let mut event = FaultEngine::<W256>::new(netlist);
+        let mut eval = Evaluator::new(netlist);
+        for (u, list) in [bridging, delay, mixed].iter().enumerate() {
+            let mut batches: Vec<&[Fault]> = list.chunks(W256::LANES).collect();
+            sample(&mut batches, 2, &mut rng);
+            for batch in batches {
+                let full_plan = InjectionPlan::<W256>::build(netlist, batch);
+                let event_plan = InjectionPlan::<W256>::event_driven(netlist, batch);
+                assert!(event_plan.cone().is_some(), "{}: no cone", spec.name);
+                let mut skip = W256::zero();
+                for test in &tests {
+                    let trace = eval.record_trace(test);
+                    let response = trace.response();
+                    for observe in [true, false] {
+                        let a = full.run_test_observing(test, &response, &full_plan, skip, observe);
+                        let b =
+                            event.run_test_event_driven(test, &trace, &event_plan, skip, observe);
+                        assert_eq!(
+                            a, b,
+                            "{} universe {u}: event-driven diverged from full resim \
+                             (skip={skip:?} observe={observe})",
+                            spec.name
+                        );
+                    }
+                    runs[u] += 1;
+                    if test.len() <= 48
+                        && dead_lanes_cost_nothing(&mut event, &mut eval, batch, test, skip)
+                    {
+                        dead_lane_checks[u] += 1;
+                    }
+                    skip |= random_word(&mut rng) & random_word(&mut rng) & full_plan.lane_mask();
+                }
+            }
+        }
+    }
+    assert!(
+        runs.iter().chain(&dead_lane_checks).all(|&n| n > 0),
+        "runs per universe: {runs:?}, dead-lane checks: {dead_lane_checks:?}"
+    );
+}
+
+/// Asserts that the event-driven run of `batch` on `test` under `skip`
+/// (scan-out not observed) spends no gate evaluation on dead lanes: it
+/// must take exactly as many as running each cycle on a plan that holds
+/// only the faults live in that cycle. A lane detected at a PO leaves the
+/// live set after its cycle, so the cycles split into segments with one
+/// live set each, read off the detections of the test's prefixes; lanes
+/// are independent, so each segment's cycles cost the same on its
+/// live-only plan. A force, tap or late reading left acting in a skipped
+/// or dropped lane makes that lane deviate and costs evaluations, though
+/// it changes no live verdict. Returns `false` without checking when some
+/// segment's live-only plan is stuck-only and spans every gate (it runs
+/// the full pass).
+fn dead_lanes_cost_nothing(
+    engine: &mut FaultEngine<'_, W256>,
+    eval: &mut Evaluator<'_>,
+    batch: &[Fault],
+    test: &ScanTest,
+    skip: W256,
+) -> bool {
+    let netlist = eval.netlist();
+    // The event-driven run of the first `k` cycles: detected lanes, work.
+    let mut prefix = |engine: &mut FaultEngine<'_, W256>, plan: &InjectionPlan<W256>, k, skip| {
+        if k == 0 {
+            return (W256::zero(), 0);
+        }
+        let prefix = ScanTest::new(test.init_code, test.inputs[..k].to_vec());
+        let trace = eval.record_trace(&prefix);
+        let before = engine.gate_evals();
+        let detected = engine.run_test_event_driven(&prefix, &trace, plan, skip, false);
+        (detected, engine.gate_evals() - before)
+    };
+    let plan = InjectionPlan::<W256>::event_driven(netlist, batch);
+    let len = test.len();
+    let work = prefix(engine, &plan, len, skip).1;
+    let detected: Vec<W256> = (1..=len)
+        .map(|k| prefix(engine, &plan, k, skip).0)
+        .collect();
+    let mut segments_work = 0;
+    let mut start = 0;
+    while start < len {
+        let dropped = if start == 0 {
+            W256::zero()
+        } else {
+            detected[start - 1]
+        };
+        let mut end = start;
+        while end + 1 < len && detected[end] == dropped {
+            end += 1;
+        }
+        let live: Vec<Fault> = (0..batch.len())
+            .filter(|&l| (W256::lane_bit(l) & (skip | dropped)).is_zero())
+            .map(|l| batch[l])
+            .collect();
+        if live.is_empty() {
+            break;
+        }
+        let alone = InjectionPlan::<W256>::event_driven(netlist, &live);
+        if alone.cone().is_none() {
+            return false;
+        }
+        segments_work += prefix(engine, &alone, end + 1, W256::zero()).1
+            - prefix(engine, &alone, start, W256::zero()).1;
+        start = end + 1;
+    }
+    assert_eq!(
+        work, segments_work,
+        "dead lanes cost gate evaluations: test {test:?} skip {skip:?}"
+    );
+    true
+}
+
+/// A random 256-lane word.
+fn random_word(rng: &mut SplitMix64) -> W256 {
+    W256([
+        rng.next_u64(),
+        rng.next_u64(),
+        rng.next_u64(),
+        rng.next_u64(),
+    ])
 }
 
 /// Seeded partial Fisher–Yates sample of at most `keep` items, in place.

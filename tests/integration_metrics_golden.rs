@@ -189,6 +189,42 @@ fn evaluate_lion_counters_golden() {
     }
 }
 
+/// Supervised campaigns count their simulated and skipped tests as the
+/// sequential runner does. `simulate lion --threads 1` runs lion's 80
+/// stuck-at faults over its 9 generated tests in one wide batch, which
+/// is done after the 5th test: the counts of `evaluate lion`'s stuck-at
+/// campaign (the same tests in the same decreasing-length order).
+#[test]
+fn supervised_simulate_lion_counts_tests_golden() {
+    let dir = std::env::temp_dir().join(format!("scanft-supervised-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let tests = dir.join("lion.tests");
+    let tests = tests.to_str().expect("utf-8 temp path");
+    let output = Command::new(env!("CARGO_BIN_EXE_scanft"))
+        .args(["generate", "lion", "--out", tests])
+        .output()
+        .expect("run scanft");
+    assert!(output.status.success(), "generate lion failed");
+    let values = counters(&run_with_metrics(&[
+        "simulate",
+        "lion",
+        "--tests",
+        tests,
+        "--threads",
+        "1",
+    ]));
+    std::fs::remove_dir_all(&dir).ok();
+    let expected: &[(&str, u64)] = &[
+        ("sim.campaign.faults", 80),
+        ("sim.campaign.batches", 1),
+        ("sim.campaign.tests_simulated", 5),
+        ("sim.campaign.tests_skipped", 4),
+    ];
+    for &(name, value) in expected {
+        assert_eq!(values.get(name), Some(&value), "{name}");
+    }
+}
+
 /// Exact counters for the implication-guided ATPG path: `atpg lion
 /// --no-functional` drives PODEM over all 45 collapsed faults, so the
 /// static-learning and guidance counters must export deterministic values.
